@@ -124,6 +124,7 @@ class WeightedGraph:
 
         self._check_connected()
         self._neg_laplacian_cache: np.ndarray | None = None
+        self._constants_cache: GraphConstants | None = None
 
     @property
     def n(self) -> int:
@@ -153,29 +154,40 @@ class WeightedGraph:
         return self._adjacency[i]
 
     def _check_connected(self) -> None:
-        reached = self._bfs_distances(0) >= 0
-        if not reached.all():
-            far = int(np.argmin(reached))
+        reached = {0}
+        queue = deque([0])
+        while queue:
+            for w in self._adjacency[queue.popleft()]:
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+        if len(reached) < self.n:
+            far = min(set(range(self.n)) - reached)
             raise DisconnectedGraphError(self.vertex_ids[0], self.vertex_ids[far])
 
-    def _bfs_distances(self, source: int) -> np.ndarray:
-        dist = np.full(self.n, -1, dtype=int)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in self._adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
     def diameter_edges(self) -> int:
-        """Largest shortest-path edge count over all vertex pairs."""
-        best = 0
-        for source in range(self.n):
-            best = max(best, int(self._bfs_distances(source).max()))
-        return best
+        """Largest shortest-path edge count over all vertex pairs.
+
+        ``powers[k]`` marks the pairs joined by a walk of at most ``2**k``
+        edges.  Squaring doubles the reach until every pair is joined, then
+        a binary search back down the powers finds the last reach that
+        misses a pair.
+        """
+        reach = np.eye(self.n, dtype=bool)
+        reach[self.edge_tail, self.edge_head] = True
+        reach[self.edge_head, self.edge_tail] = True
+        powers = [reach]
+        while not powers[-1].all():
+            powers.append(_reach_product(powers[-1], powers[-1]))
+        if len(powers) == 1:
+            return int(self.n > 1)
+        hops = 2 ** (len(powers) - 2)
+        reach = powers[-2]
+        for k in range(len(powers) - 3, -1, -1):
+            trial = _reach_product(reach, powers[k])
+            if not trial.all():
+                reach, hops = trial, hops + 2**k
+        return hops + 1
 
     def neg_laplacian(self) -> np.ndarray:
         """Matrix of ``-laplacian`` in the vertex ordering (read-only view)."""
@@ -187,6 +199,11 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m}, volume={self.volume:.6g})"
+
+
+def _reach_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product on BLAS; float32 counts are exact below 2**24."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
 
 
 @dataclass(frozen=True)
@@ -263,16 +280,17 @@ def average(g: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
 def graph_constants(g: WeightedGraph) -> GraphConstants:
     """Volume, weight/measure minima, diameter-based ``ell``, and lambda1.
 
+    Computed once per graph and cached on it, since graphs are immutable.
     The operator ``-laplacian`` is not symmetric under a nonuniform
     measure, so its spectrum is computed from the similarity transform by
     ``diag(sqrt(mu))``, which is symmetric with the same eigenvalues.
     """
-    ell = g.diameter_edges() + 1
-    if g.n == 1:
-        return GraphConstants(g.volume, g.min_weight, g.min_measure, ell, None)
-    sqrt_mu = np.sqrt(g.mu)
-    sym = g.neg_laplacian() * sqrt_mu[:, None] / sqrt_mu[None, :]
-    sym = 0.5 * (sym + sym.T)
-    eigenvalues = np.linalg.eigvalsh(sym)
-    lambda1 = float(eigenvalues[1])
-    return GraphConstants(g.volume, g.min_weight, g.min_measure, ell, lambda1)
+    if g._constants_cache is None:
+        lambda1 = None
+        if g.n > 1:
+            sqrt_mu = np.sqrt(g.mu)
+            sym = g.neg_laplacian() * sqrt_mu[:, None] / sqrt_mu[None, :]
+            lambda1 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[1])
+        ell = g.diameter_edges() + 1
+        g._constants_cache = GraphConstants(g.volume, g.min_weight, g.min_measure, ell, lambda1)
+    return g._constants_cache

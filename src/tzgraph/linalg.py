@@ -1,9 +1,10 @@
 """Dense linear algebra and sampling utilities shared by the solvers.
 
-The LU factorization tracks the permutation parity so the sign of the
-determinant comes out of the same pivoted elimination that solves the
-Newton systems.  A pivot below ``rtol * ||A||_inf`` marks the matrix as
-numerically singular instead of dividing through by noise.
+Factorizations go to LAPACK through ``numpy.linalg``.  A step system is
+factored once, by inversion, which also gives its 1-norm condition number
+``||A||_1 ||A^-1||_1``.  A matrix is numerically singular when LAPACK meets
+a zero pivot or that number reaches ``1 / PIVOT_RTOL``, instead of dividing
+through by noise; scaling does not change it, so ``1e-200 * I`` is regular.
 """
 
 from __future__ import annotations
@@ -17,59 +18,36 @@ PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class LUFactors:
-    lu: np.ndarray
-    perm: np.ndarray
-    parity: int
+    inverse: np.ndarray | None
     singular: bool
 
 
 def lu_factor(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
-    """Partial-pivoted LU of a square matrix with a relative pivot floor."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    """Factor a square matrix; singular when its condition number is at least 1/pivot_rtol."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
-    threshold = pivot_rtol * scale
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= threshold:
-            return LUFactors(a, perm, parity, True)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return LUFactors(a, perm, parity, False)
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return LUFactors(None, True)
+    # Python floats: an overflowing product is inf, without a warning
+    kappa = float(np.abs(a).sum(axis=0).max()) * float(np.abs(inverse).sum(axis=0).max())
+    return LUFactors(inverse, not kappa * pivot_rtol < 1.0)
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the pivoted factorization of A."""
+    """Solve A x = b given the factorization of A."""
     if factors.singular:
         raise np.linalg.LinAlgError("matrix is numerically singular")
-    lu = factors.lu
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[factors.perm].copy()
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
+    return factors.inverse @ np.asarray(b, dtype=float)
 
 
 def det_sign(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> int:
-    """Sign of det(A) via pivoted LU: +1, -1, or 0 when degenerate."""
-    factors = lu_factor(a, pivot_rtol)
-    if factors.singular:
+    """Sign of det(A): +1, -1, or 0 when numerically singular."""
+    if lu_factor(a, pivot_rtol).singular:
         return 0
-    sign = factors.parity
-    for d in np.diag(factors.lu):
-        if d < 0.0:
-            sign = -sign
-    return int(sign)
+    return int(np.linalg.slogdet(a)[0])
 
 
 def first_primes(count: int) -> list[int]:

@@ -86,9 +86,9 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one solve: the iterate, certification data, and traces.
 
-    ``converged`` implies ``residual_norm < tol`` and ``jac_sign != 0``;
-    a solve that hits a residual below tolerance but a numerically singular
-    Jacobian reports ``converged=False`` with ``jac_sign=0``.
+    ``converged`` implies ``residual_norm < tol`` and ``jac_sign != 0``; a
+    residual below tolerance at a numerically singular Jacobian (1-norm
+    condition number >= 1/PIVOT_RTOL) reports ``converged=False, jac_sign=0``.
     """
 
     solution: np.ndarray
@@ -154,8 +154,8 @@ def _newton_system(
 ) -> SolveReport:
     """Damped Newton on a callable system.
 
-    Armijo backtracking on the squared residual 2-norm; a pivot below
-    ``1e-12 * ||J||_inf`` in the step system aborts with ``jac_sign=0``.
+    Armijo backtracking on the squared 2-norm of the residual times a power of two;
+    a step matrix with condition number >= 1/PIVOT_RTOL aborts with ``jac_sign=0``.
     ``sign_jac_fun``/``true_fun`` let a deflated solve certify against the
     undeflated system.
     """
@@ -183,24 +183,28 @@ def _newton_system(
         if factors.singular:
             return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
         step = linalg.lu_solve(factors, -r)
-        phi0 = float(np.dot(r, r))
+        # scaling by a power of two is exact and keeps the merit finite; a
+        # trial whose scaled merit still overflows is rejected like any other
+        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        phi0 = float(np.dot(scale * r, scale * r))
         alpha = 1.0
         accepted = False
-        while alpha >= cfg.min_step:
-            trial = u + alpha * step
-            r_trial = _safe_eval(fun, trial)
-            if r_trial is not None and float(np.dot(r_trial, r_trial)) <= (
-                1.0 - 2.0 * _ARMIJO * alpha
-            ) * phi0:
-                u, r = trial, r_trial
-                accepted = True
-                break
-            # the full and half steps are always tried; after that, resume
-            # near the previously accepted length instead of re-walking down
-            if alpha == cfg.shrink and 2.0 * prev_alpha < alpha * cfg.shrink:
-                alpha = 2.0 * prev_alpha
-            else:
-                alpha *= cfg.shrink
+        with np.errstate(over="ignore"):
+            while alpha >= cfg.min_step:
+                trial = u + alpha * step
+                r_trial = _safe_eval(fun, trial)
+                if r_trial is not None:
+                    scaled = scale * r_trial
+                    if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
+                        u, r = trial, r_trial
+                        accepted = True
+                        break
+                # the full and half steps are always tried; after that, resume
+                # near the previously accepted length instead of re-walking down
+                if alpha == cfg.shrink and 2.0 * prev_alpha < alpha * cfg.shrink:
+                    alpha = 2.0 * prev_alpha
+                else:
+                    alpha *= cfg.shrink
         if not accepted:
             failed = True
             break

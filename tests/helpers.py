@@ -8,6 +8,7 @@ tests are computed along a second, independent route.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -229,6 +230,67 @@ def classic_sweep_oracle(data, spec: ProblemSpec, sweeps: int = 2000, tol: float
         if change < tol:
             break
     return np.array(u)
+
+
+def diameter_oracle(g: WeightedGraph) -> int:
+    """Largest shortest-path edge count, by a breadth-first search from every vertex."""
+    best = 0
+    for source in range(g.n):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        best = max(best, max(dist.values()))
+    return best
+
+
+def lu_oracle(a, pivot_rtol: float = 1e-12):
+    """Partial-pivoted elimination in Python: (lu, perm, parity, singular).
+
+    Numerically singular when a pivot falls below ``pivot_rtol`` times the
+    infinity norm of the matrix.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    threshold = pivot_rtol * (float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0)
+    perm = np.arange(n)
+    parity = 1
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) <= threshold:
+            return a, perm, parity, True
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            parity = -parity
+        a[k + 1 :, k] /= a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return a, perm, parity, False
+
+
+def lu_solve_oracle(a, b):
+    """Solve A x = b by forward and back substitution on ``lu_oracle``."""
+    lu, perm, _, singular = lu_oracle(a)
+    assert not singular
+    n = lu.shape[0]
+    x = np.asarray(b, dtype=float)[perm].copy()
+    for i in range(1, n):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
+    return x
+
+
+def det_sign_oracle(a) -> int:
+    """Sign of det(A) from ``lu_oracle``: the permutation parity times the signs of U's diagonal."""
+    lu, _, parity, singular = lu_oracle(a)
+    if singular:
+        return 0
+    return int(parity * np.prod(np.sign(np.diag(lu))))
 
 
 def fd_jacobian(fun, u, tau: float = 1e-6):

@@ -1,11 +1,16 @@
 """File format, report rendering, exit codes, and robustness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import tzgraph
 from tzgraph import SolverConfig, estimate_degree
 from tzgraph.cli import (
     GraphDocument,
@@ -276,6 +281,25 @@ def test_report_values_rederive_via_api(tmp_path, capsys):
     again = estimate_degree(spec, g, cfg, n_starts=report["config"]["starts"])
     assert again.degree == report["result"]["degree"]
     assert again.radius == report["result"]["radius"]
+
+
+def test_solve_imports_no_scipy(tmp_path):
+    # importing scipy.linalg would add about 0.3 s of start-up and 28 MB of
+    # memory to every process; LAPACK comes through numpy.linalg instead
+    path = write(tmp_path, K2_LINES)
+    script = (
+        "import sys\n"
+        "from tzgraph.cli import main\n"
+        f"code = main(['solve', {path!r}, '--equation', 'classic', '--A', '1', '--B', '1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(tzgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_missing_file_is_validation_error(capsys):

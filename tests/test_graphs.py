@@ -120,6 +120,41 @@ def test_graph_constants_k2():
     assert constants.lambda1 == pytest.approx(2.0, abs=1e-12)
 
 
+def test_graph_constants_cached_and_equal_to_oracles():
+    rng = np.random.default_rng(21)
+    data = helpers.random_graph_data(rng, 9)
+    g = helpers.build_graph(data)
+    constants = graph_constants(g)
+    assert graph_constants(g) is constants
+    assert constants.volume == pytest.approx(sum(data["mu"]), rel=1e-14)
+    assert constants.w0 == min(w for _, _, w in data["edges"])
+    assert constants.mu0 == min(data["mu"])
+    assert constants.ell == helpers.diameter_oracle(g) + 1
+    eigenvalues = np.sort(np.linalg.eigvals(-laplacian_matrix(g)).real)
+    assert constants.lambda1 == pytest.approx(eigenvalues[1], rel=1e-9)
+
+
+def _unit_graph(n, pairs):
+    return WeightedGraph(range(n), np.ones(n), [(i, j, 1.0) for i, j in pairs])
+
+
+def test_diameter_matches_all_sources_bfs_oracle():
+    graphs = [_unit_graph(1, [])]
+    for n in (2, 3, 4, 7, 64, 65, 200):
+        graphs.append(_unit_graph(n, [(i, i + 1) for i in range(n - 1)]))
+    for n in (3, 4, 5, 30):
+        graphs.append(_unit_graph(n, [(0, i) for i in range(1, n)]))
+        graphs.append(_unit_graph(n, [(i, (i + 1) % n) for i in range(n)]))
+        graphs.append(_unit_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    rng = np.random.default_rng(43)
+    for _ in range(150):
+        n = int(rng.integers(1, 61))
+        p = float(rng.choice([0.0, 0.02, 0.1, 0.35]))  # 0.0 gives a random tree
+        graphs.append(helpers.random_graph(rng, n, extra_edge_prob=p))
+    for g in graphs:
+        assert g.diameter_edges() == helpers.diameter_oracle(g)
+
+
 def test_lambda1_matches_full_eigensolve_oracle():
     rng = np.random.default_rng(23)
     g = helpers.random_graph(rng, 6)

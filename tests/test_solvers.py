@@ -1,6 +1,7 @@
 """Newton, deflation, continuation, barriers, and box minimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tzgraph import (
     residual,
 )
 from tzgraph.linalg import halton_ball
+from tzgraph.solvers import _newton_system
 
 CFG = SolverConfig()
 
@@ -85,6 +87,29 @@ def test_newton_reports_nonconvergence_on_iteration_cap():
     spec = helpers.classic_spec(rng, 4)
     report = newton(spec, g, np.full(4, 3.0), SolverConfig(max_iter=1))
     assert not report.converged
+
+
+def test_newton_from_a_residual_beyond_1e154_warns_nothing_and_descends():
+    # the generalized residual is about e^(2Au) = 5e173 here, so its square
+    # overflows a double
+    spec = constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = newton(spec, helpers.k2(), np.array([200.0, 199.0]), CFG)
+    assert report.residual_history[0] > 1e154
+    assert report.residual_history[1] < report.residual_history[0]
+
+
+def test_armijo_rejects_a_growing_step_at_a_huge_residual():
+    # a full Newton step on arctan overshoots from u = 2 to |arctan| 1.30 > 1.11;
+    # the line search must halve it even though the squared residual overflows
+    report = _newton_system(
+        lambda u: 1e160 * np.arctan(u),
+        lambda u: np.diag(1e160 / (1.0 + u * u)),
+        np.array([2.0]),
+        CFG,
+    )
+    assert report.residual_history[1] < report.residual_history[0]
 
 
 # ---------------------------------------------------------------------------
