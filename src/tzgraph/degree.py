@@ -33,11 +33,9 @@ from .model import (
     HomotopyParams,
     Kind,
     ProblemSpec,
+    _kernels,
     default_epsilon,
     jacobian,
-    jacobian_homotopy,
-    residual,
-    residual_homotopy,
 )
 from .solvers import SolverConfig, _newton_system, _deflated_system
 
@@ -208,6 +206,13 @@ def _enumerate_signed_roots(
     return roots, signs, runs
 
 
+def _check_search(radius: float | None, n_starts: int) -> None:
+    if n_starts < 1:
+        raise SpecValidationError(f"the search needs at least one start, got {n_starts}")
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise SpecValidationError(f"the search radius must be finite and positive, got {radius}")
+
+
 def _default_radius(spec: ProblemSpec, g: WeightedGraph) -> float:
     if spec.kind is Kind.CLASSIC:
         return bounds_classic(spec).radius
@@ -229,6 +234,7 @@ def estimate_degree(
     zeros exist in any ball: the report short-circuits to degree 0 with no
     search and is marked proven.
     """
+    _check_search(radius, n_starts)
     if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
         ball = radius if radius is not None else math.inf
         return DegreeReport((), (), 0, ball, 0, Confidence.PROVEN)
@@ -240,12 +246,7 @@ def estimate_degree(
                 f"no a priori ball available ({exc}); supply a radius explicitly"
             ) from exc
     roots, signs, runs = _enumerate_signed_roots(
-        lambda u: residual(spec, g, u),
-        lambda u: jacobian(spec, g, u),
-        g.n,
-        float(radius),
-        cfg,
-        n_starts,
+        *_kernels(spec, g), g.n, float(radius), cfg, n_starts
     )
     ordered_roots, ordered_signs = _canonical_order(roots, signs)
     return DegreeReport(
@@ -355,6 +356,7 @@ def verify_homotopy_invariance(
     single t-uniform ball; the t = 0 member has a strictly positive
     pointwise part for every field, so its degree is 0 with no search.
     """
+    _check_search(None, n_starts)
     degrees: list[int] = []
     if spec.kind is Kind.CLASSIC:
         eps = default_epsilon(spec)
@@ -380,14 +382,8 @@ def verify_homotopy_invariance(
         if t == 0.0:
             degrees.append(0)
             continue
-        hp = HomotopyParams(t)
         _, signs, _ = _enumerate_signed_roots(
-            lambda u, hp=hp: residual_homotopy(spec, g, u, hp),
-            lambda u, hp=hp: jacobian_homotopy(spec, g, u, hp),
-            g.n,
-            ball,
-            cfg,
-            n_starts,
+            *_kernels(spec, g, HomotopyParams(t)), g.n, ball, cfg, n_starts
         )
         degrees.append(int(sum(signs)))
     return len(set(degrees)) == 1

@@ -247,13 +247,14 @@ def laplacian(g: WeightedGraph, u: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
     """Dense matrix L with L @ u == laplacian(g, u)."""
-    n = g.n
-    mat = np.zeros((n, n))
-    for i, j, w in zip(g.edge_tail, g.edge_head, g.edge_weight):
-        mat[i, j] += w / g.mu[i]
-        mat[j, i] += w / g.mu[j]
-        mat[i, i] -= w / g.mu[i]
-        mat[j, j] -= w / g.mu[j]
+    i, j = g.edge_tail, g.edge_head
+    to_i, to_j = g.edge_weight / g.mu[i], g.edge_weight / g.mu[j]
+    # each edge adds at (i,j), (j,i), (i,i), (j,j) in turn, and np.add.at adds in
+    # sequence, so every diagonal entry sums its terms in edge order
+    rows = np.stack((i, j, i, j), axis=1).ravel()
+    cols = np.stack((j, i, i, j), axis=1).ravel()
+    mat = np.zeros((g.n, g.n))
+    np.add.at(mat, (rows, cols), np.stack((to_i, to_j, -to_i, -to_j), axis=1).ravel())
     return mat
 
 

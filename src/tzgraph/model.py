@@ -21,12 +21,19 @@ The generalized kind is variational: the energy functional defined here
 has the generalized residual as its gradient in the mu-weighted inner
 product, which is why ``energy_gradient`` and ``residual`` share one code
 path.
+
+The four residual and Jacobian functions validate their inputs, then run
+one kernel with the deformation as a parameter (``_kernels``).  Solvers
+validate once per entry point and iterate on the kernel's unchecked
+callables, which keep only the exponent guard.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,8 +94,8 @@ class ProblemSpec:
             raise SpecValidationError("coefficient fields must be finite")
         if np.any(h1 <= 0.0):
             raise SpecValidationError("h1 must be strictly positive at every vertex")
-        if not (self.A > 0.0 and self.B > 0.0):
-            raise SpecValidationError("exponents A and B must be positive")
+        if not (0.0 < self.A < math.inf and 0.0 < self.B < math.inf):
+            raise SpecValidationError("exponents A and B must be positive and finite")
         h1.flags.writeable = False
         h2.flags.writeable = False
         object.__setattr__(self, "h1", h1)
@@ -143,12 +150,7 @@ def validate_homotopy(spec: ProblemSpec, hp: HomotopyParams) -> None:
         return
     if hp.epsilon is None:
         raise SpecValidationError("classic deformation requires an epsilon")
-    max_h2 = float(spec.h2.max())
-    if max_h2 >= 0.0:
-        raise HomotopyInfeasibleError(
-            "classic deformation requires -t*eps + (1-t)*h2(x) < 0 for all t, "
-            f"which fails at t=0 because max h2 = {max_h2:.6g} >= 0"
-        )
+    default_epsilon(spec)  # exists exactly when h2 < 0 everywhere
 
 
 def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
@@ -158,31 +160,80 @@ def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
         )
 
 
-def _exponentials(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^{A u} and e^{-B u} with a range guard instead of silent infinities."""
-    cap = EXP_CAP_CLASSIC if spec.kind is Kind.CLASSIC else EXP_CAP_GENERALIZED
-    up = spec.A * float(u.max())
-    down = spec.B * float(-u.min())
+def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A u`` and ``-B u``, with a range guard instead of silent infinities later."""
+    au, bu = A * u, -B * u
+    up, down = float(au.max()), float(bu.max())
     if up > cap or down > cap:
         raise ExponentOverflowError(
             f"exponent {max(up, down):.3g} exceeds the cap {cap:.0f}; "
             "the iterate has left the trusted range"
         )
-    return np.exp(spec.A * u), np.exp(-spec.B * u)
+    return au, bu
+
+
+def _kernels(
+    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Unchecked residual and Jacobian callables of the deformation ``hp``.
+
+    ``hp=None`` is the equation itself: t = 0 with eps = 0 (which leaves the
+    coefficients bitwise unchanged) for the classic kind, t = 1 for the
+    generalized kind.  The spec, the graph and the deformation are checked
+    once, here; the callables trust their argument to be a finite field on
+    ``g`` and keep only the exponent guard.
+    """
+    _check_spec_alignment(spec, g)
+    if hp is not None:
+        validate_homotopy(spec, hp)
+    A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
+    neg_lap = g.neg_laplacian()
+    diagonal = slice(None, None, g.n + 1)
+    if spec.kind is Kind.CLASSIC:
+        t, eps = (0.0, 0.0) if hp is None else (hp.t, hp.epsilon)
+        c1 = t * eps + (1.0 - t) * h1
+        c2 = -t * eps + (1.0 - t) * h2
+        a_c1, b_c2 = A * c1, B * c2
+
+        def pointwise(u):
+            au, bu = _exponents(A, B, EXP_CAP_CLASSIC, u)
+            return c1 * np.exp(au) + c2 * np.exp(bu)
+
+        def slope(u):
+            au, bu = _exponents(A, B, EXP_CAP_CLASSIC, u)
+            return a_c1 * np.exp(au) - b_c2 * np.exp(bu)
+
+    else:
+        t = 1.0 if hp is None else hp.t
+        shift, h1_a, h2_b = 1.0 - t, h1 * A, h2 * B
+
+        def pointwise(u):
+            au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
+            return h1 * np.exp(au) * (np.expm1(au) + shift) + (
+                h2 * np.exp(bu) * (np.expm1(bu) + shift)
+            )
+
+        def slope(u):
+            au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
+            e_up, e_dn = np.exp(au), np.exp(bu)
+            return h1_a * e_up * (2.0 * e_up - t) + h2_b * e_dn * (t - 2.0 * e_dn)
+
+    def fun(u: np.ndarray) -> np.ndarray:
+        nonlinear = pointwise(u)
+        return neg_lap @ u + nonlinear
+
+    def jac(u: np.ndarray) -> np.ndarray:
+        diag = slope(u)
+        mat = neg_lap.copy()
+        mat.flat[diagonal] += diag
+        return mat
+
+    return fun, jac
 
 
 def residual(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     """Pointwise residual of the equation at u (zero exactly at solutions)."""
-    u = as_field(g, u)
-    _check_spec_alignment(spec, g)
-    e_up, e_dn = _exponentials(spec, u)
-    if spec.kind is Kind.CLASSIC:
-        nonlinear = spec.h1 * e_up + spec.h2 * e_dn
-    else:
-        nonlinear = spec.h1 * e_up * np.expm1(spec.A * u) + spec.h2 * e_dn * np.expm1(
-            -spec.B * u
-        )
-    return g.neg_laplacian() @ u + nonlinear
+    return _kernels(spec, g)[0](as_field(g, u))
 
 
 def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
@@ -192,56 +243,17 @@ def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams
     (reduces to ``residual`` at t = 0).  Generalized: inner factors
     ``e^{A u} - t`` and ``e^{-B u} - t`` (reduces to ``residual`` at t = 1).
     """
-    validate_homotopy(spec, hp)
-    u = as_field(g, u)
-    _check_spec_alignment(spec, g)
-    e_up, e_dn = _exponentials(spec, u)
-    t = hp.t
-    if spec.kind is Kind.CLASSIC:
-        c1 = t * hp.epsilon + (1.0 - t) * spec.h1
-        c2 = -t * hp.epsilon + (1.0 - t) * spec.h2
-        nonlinear = c1 * e_up + c2 * e_dn
-    else:
-        nonlinear = spec.h1 * e_up * (np.expm1(spec.A * u) + (1.0 - t)) + (
-            spec.h2 * e_dn * (np.expm1(-spec.B * u) + (1.0 - t))
-        )
-    return g.neg_laplacian() @ u + nonlinear
+    return _kernels(spec, g, hp)[0](as_field(g, u))
 
 
 def jacobian(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     """Derivative of the residual: ``-laplacian`` plus a pointwise diagonal."""
-    u = as_field(g, u)
-    _check_spec_alignment(spec, g)
-    e_up, e_dn = _exponentials(spec, u)
-    if spec.kind is Kind.CLASSIC:
-        diag = spec.A * spec.h1 * e_up - spec.B * spec.h2 * e_dn
-    else:
-        diag = spec.h1 * spec.A * e_up * (2.0 * e_up - 1.0) + (
-            spec.h2 * spec.B * e_dn * (1.0 - 2.0 * e_dn)
-        )
-    mat = g.neg_laplacian().copy()
-    mat[np.diag_indices_from(mat)] += diag
-    return mat
+    return _kernels(spec, g)[1](as_field(g, u))
 
 
 def jacobian_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
     """Derivative of the deformed residual at parameter ``hp.t``."""
-    validate_homotopy(spec, hp)
-    u = as_field(g, u)
-    _check_spec_alignment(spec, g)
-    e_up, e_dn = _exponentials(spec, u)
-    t = hp.t
-    if spec.kind is Kind.CLASSIC:
-        c1 = t * hp.epsilon + (1.0 - t) * spec.h1
-        c2 = -t * hp.epsilon + (1.0 - t) * spec.h2
-        diag = spec.A * c1 * e_up - spec.B * c2 * e_dn
-    else:
-        diag = spec.h1 * spec.A * e_up * (2.0 * e_up - t) + (
-            spec.h2 * spec.B * e_dn * (t - 2.0 * e_dn)
-        )
-    mat = g.neg_laplacian().copy()
-    mat[np.diag_indices_from(mat)] += diag
-    return mat
+    return _kernels(spec, g, hp)[1](as_field(g, u))
 
 
 def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:
@@ -258,9 +270,10 @@ def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:
         raise SpecValidationError("the energy functional is defined for the generalized kind only")
     u = as_field(g, u)
     _check_spec_alignment(spec, g)
-    _exponentials(spec, u)  # range guard; the squares below double exponents
-    up = np.expm1(spec.A * u)
-    dn = np.expm1(-spec.B * u)
+    # range guard; the squares below double exponents
+    au, bu = _exponents(spec.A, spec.B, EXP_CAP_GENERALIZED, u)
+    up = np.expm1(au)
+    dn = np.expm1(bu)
     # integral of |grad u|^2 d(mu) collapses to a plain edge sum
     diff = u[g.edge_head] - u[g.edge_tail]
     dirichlet = float(np.dot(g.edge_weight, diff * diff))

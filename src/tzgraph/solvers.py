@@ -4,6 +4,9 @@ Provides damped Newton iteration, deflation against known roots, homotopy
 continuation along the two deformations, barrier selection, and projected
 gradient descent of the energy over a box.  All solvers are deterministic:
 identical configuration and inputs produce identical reports.
+
+Each public solver validates its inputs once and hands the unchecked
+residual and Jacobian kernels of ``model`` to ``_newton_system``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,10 @@ from .model import (
     HomotopyParams,
     Kind,
     ProblemSpec,
+    _kernels,
     default_epsilon,
     energy,
-    jacobian,
-    jacobian_homotopy,
     residual,
-    residual_homotopy,
-    validate_homotopy,
 )
 
 __all__ = [
@@ -137,7 +137,7 @@ def _safe_eval(fun: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.nda
         value = fun(u)
     except ExponentOverflowError:
         return None
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         return None
     return value
 
@@ -245,19 +245,15 @@ def _newton_system(
 
 def newton(spec: ProblemSpec, g: WeightedGraph, start, cfg: SolverConfig) -> SolveReport:
     """Damped Newton on the residual from the given start field."""
-    start = as_field(g, start)
-    return _newton_system(
-        lambda u: residual(spec, g, u),
-        lambda u: jacobian(spec, g, u),
-        start,
-        cfg,
-    )
+    return _newton_system(*_kernels(spec, g), as_field(g, start), cfg)
 
 
-def _deflation_terms(u: np.ndarray, known: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
-    """Deflation multiplier prod_k(1 + 1/||u-u_k||^2) and its gradient."""
+def _deflation_terms(
+    u: np.ndarray, known: Sequence[np.ndarray], gradient: bool
+) -> tuple[float, np.ndarray | None]:
+    """Deflation multiplier prod_k(1 + 1/||u-u_k||^2), and its gradient if asked."""
     factor = 1.0
-    grad = np.zeros_like(u)
+    grad = np.zeros_like(u) if gradient else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for root in known:
             diff = u - root
@@ -265,8 +261,9 @@ def _deflation_terms(u: np.ndarray, known: Sequence[np.ndarray]) -> tuple[float,
             if d2 == 0.0:
                 return math.inf, grad
             factor *= 1.0 + 1.0 / d2
-            grad += -2.0 * diff / (d2 * d2 + d2)
-    return factor, factor * grad
+            if gradient:
+                grad += -2.0 * diff / (d2 * d2 + d2)
+    return factor, grad
 
 
 def _deflated_system(
@@ -274,20 +271,30 @@ def _deflated_system(
     jac_fun: Callable[[np.ndarray], np.ndarray],
     known: Sequence[np.ndarray],
 ):
+    """Residual ``M(u) F(u)`` deflated against ``known``, and its Jacobian.
+
+    ``djac`` reuses the ``F(u)`` of the last ``dfun`` call when given the
+    same array, as Newton does: it asks for the Jacobian at the iterate
+    whose residual it just accepted.
+    """
     if not known:
         return fun, jac_fun
+    last: list = [None, None]  # the last iterate dfun evaluated, and F there
 
     def dfun(u: np.ndarray) -> np.ndarray:
-        factor, _ = _deflation_terms(u, known)
+        factor, _ = _deflation_terms(u, known, gradient=False)
         if not math.isfinite(factor):
             return np.full_like(u, math.inf)
-        return factor * fun(u)
+        value = fun(u)
+        last[:] = u, value
+        return factor * value
 
     def djac(u: np.ndarray) -> np.ndarray:
-        factor, grad = _deflation_terms(u, known)
+        factor, grad = _deflation_terms(u, known, gradient=True)
         if not math.isfinite(factor):
             return np.full((u.size, u.size), math.inf)
-        return factor * jac_fun(u) + np.outer(fun(u), grad)
+        value = last[1] if last[0] is u else fun(u)
+        return factor * jac_fun(u) + np.outer(value, factor * grad)
 
     return dfun, djac
 
@@ -308,8 +315,7 @@ def newton_deflated(
     """
     start = as_field(g, start)
     known = [as_field(g, k) for k in known]
-    base_fun = lambda u: residual(spec, g, u)
-    base_jac = lambda u: jacobian(spec, g, u)
+    base_fun, base_jac = _kernels(spec, g)
     dfun, djac = _deflated_system(base_fun, base_jac, known)
     report = _newton_system(
         dfun,
@@ -358,16 +364,9 @@ def continuation(
     eps: float | None = None
     if spec.kind is Kind.CLASSIC:
         eps = float(hp_eps) if hp_eps is not None else default_epsilon(spec)
-        validate_homotopy(spec, HomotopyParams(0.0, eps))
 
     def solve_at(t: float, start: np.ndarray) -> SolveReport:
-        hp = HomotopyParams(float(t), eps)
-        return _newton_system(
-            lambda u: residual_homotopy(spec, g, u, hp),
-            lambda u: jacobian_homotopy(spec, g, u, hp),
-            start,
-            cfg,
-        )
+        return _newton_system(*_kernels(spec, g, HomotopyParams(float(t), eps)), start, cfg)
 
     reports: list[SolveReport] = []
 
@@ -401,11 +400,6 @@ def multiplicity_branch(spec: ProblemSpec) -> int:
     if spec.A * float(spec.h1.min()) > spec.B * float(spec.h2.max()):
         return -1
     return 0
-
-
-def _constant_residual(spec: ProblemSpec, g: WeightedGraph, c: float) -> np.ndarray:
-    """Residual on the constant field c; the Laplacian term vanishes exactly."""
-    return residual(spec, g, np.full(g.n, float(c)))
 
 
 def _scalar_nonlinearity(spec: ProblemSpec, vertex: int, c: float) -> float:
@@ -484,16 +478,18 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
             "neither A*max(h1) < B*min(h2) nor A*min(h1) > B*max(h2) holds"
         )
     if branch == 1:
+        # on a constant field the Laplacian term of the residual vanishes exactly
+        fun, _ = _kernels(spec, g)
         delta = None
         for k in range(1, _BARRIER_SEARCH_STEPS + 1):
             trial = 2.0**-k
-            if np.all(_constant_residual(spec, g, trial) < 0.0):
+            if np.all(fun(np.full(g.n, trial)) < 0.0):
                 delta = trial
                 break
         beta = None
         for k in range(_BARRIER_SEARCH_STEPS + 1):
             trial = 2.0**k
-            if np.all(_constant_residual(spec, g, trial) > 0.0):
+            if np.all(fun(np.full(g.n, trial)) > 0.0):
                 beta = trial
                 break
         if delta is None or beta is None:
@@ -510,16 +506,16 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
 
 
 def _mean_constant_root(
-    spec: ProblemSpec, g: WeightedGraph, lo: float, hi: float
+    fun: Callable[[np.ndarray], np.ndarray], g: WeightedGraph, lo: float, hi: float
 ) -> float:
-    """Bisect the measure-averaged pointwise equation over [lo, hi]."""
-    f_lo = average(g, _constant_residual(spec, g, lo))
-    f_hi = average(g, _constant_residual(spec, g, hi))
+    """Bisect the measure-averaged residual kernel on constant fields over [lo, hi]."""
+    f_lo = average(g, fun(np.full(g.n, lo)))
+    f_hi = average(g, fun(np.full(g.n, hi)))
     if f_lo * f_hi >= 0.0:
         return 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = average(g, _constant_residual(spec, g, mid))
+        f_mid = average(g, fun(np.full(g.n, mid)))
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):
@@ -552,8 +548,9 @@ def minimize_box(
         raise SpecValidationError("box minimization applies to the generalized kind only")
     lo, hi = bp.box()
     mu = g.mu
+    fun, jac = _kernels(spec, g)
 
-    u = np.full(g.n, _mean_constant_root(spec, g, lo, hi))
+    u = np.full(g.n, _mean_constant_root(fun, g, lo, hi))
     np.clip(u, lo, hi, out=u)
     j_val = energy(spec, g, u)
     grad = residual(spec, g, u)
@@ -615,12 +612,7 @@ def minimize_box(
     grad_norm = float(np.max(np.abs(grad)))
     polish_iterations = 0
     if status in ("stalled", "budget") and grad_norm <= 1e-5 and np.all(u > lo) and np.all(u < hi):
-        polish = _newton_system(
-            lambda v: residual(spec, g, v),
-            lambda v: jacobian(spec, g, v),
-            u,
-            cfg,
-        )
+        polish = _newton_system(fun, jac, u, cfg)
         if polish.converged and np.all(polish.solution > lo) and np.all(polish.solution < hi):
             u = np.array(polish.solution)
             grad = residual(spec, g, u)
@@ -637,7 +629,7 @@ def minimize_box(
         raise InteriorViolationError("minimizer converged on the box boundary")
     jac_sign = 0
     if converged:
-        jac_sign = linalg.det_sign(jacobian(spec, g, u))
+        jac_sign = linalg.det_sign(jac(u))
         if jac_sign == 0:
             converged = False
     return SolveReport(
@@ -685,8 +677,9 @@ def find_two_solutions(
         if not (np.all(second.solution > lo) and np.all(second.solution < hi)):
             raise MultiplicityFailureError("minimizer escaped the barrier box")
     else:
+        fun, jac = _kernels(spec, g)
         crossings = _negative_crossings(spec, g)
-        starts = [crossings, np.full(g.n, _mean_constant_root(spec, g, lo, hi))]
+        starts = [crossings, np.full(g.n, _mean_constant_root(fun, g, lo, hi))]
         starts += [
             np.full(g.n, c)
             for c in (
@@ -710,12 +703,7 @@ def find_two_solutions(
             from .degree import _enumerate_signed_roots
 
             roots, _, _ = _enumerate_signed_roots(
-                lambda u: residual(spec, g, u),
-                lambda u: jacobian(spec, g, u),
-                g.n,
-                bounds_generalized(spec, g).radius,
-                cfg,
-                n_starts=48,
+                fun, jac, g.n, bounds_generalized(spec, g).radius, cfg, n_starts=48
             )
             for root in roots:
                 if np.all(root < 0.0):

@@ -312,3 +312,83 @@ def fd_gradient(fun, u, tau: float = 1e-6):
         bump[x] = tau
         out[x] = (fun(u + bump) - fun(u - bump)) / (2 * tau)
     return out
+
+
+def laplacian_matrix_oracle(g: WeightedGraph) -> np.ndarray:
+    """The edge loop that built ``laplacian_matrix`` before it was vectorised."""
+    n = g.n
+    mat = np.zeros((n, n))
+    for i, j, w in zip(g.edge_tail, g.edge_head, g.edge_weight):
+        mat[i, j] += w / g.mu[i]
+        mat[j, i] += w / g.mu[j]
+        mat[i, i] -= w / g.mu[i]
+        mat[j, j] -= w / g.mu[j]
+    return mat
+
+
+def _exponentials_oracle(spec: ProblemSpec, u):
+    return np.exp(spec.A * u), np.exp(-spec.B * u)
+
+
+def residual_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
+    """The residual formulas as the public functions wrote them out before the
+    shared kernel: ``hp=None`` is ``residual``, otherwise ``residual_homotopy``."""
+    u = np.asarray(u, dtype=float)
+    e_up, e_dn = _exponentials_oracle(spec, u)
+    if hp is None:
+        if spec.kind is Kind.CLASSIC:
+            nonlinear = spec.h1 * e_up + spec.h2 * e_dn
+        else:
+            nonlinear = spec.h1 * e_up * np.expm1(spec.A * u) + spec.h2 * e_dn * np.expm1(
+                -spec.B * u
+            )
+    elif spec.kind is Kind.CLASSIC:
+        c1 = hp.t * hp.epsilon + (1.0 - hp.t) * spec.h1
+        c2 = -hp.t * hp.epsilon + (1.0 - hp.t) * spec.h2
+        nonlinear = c1 * e_up + c2 * e_dn
+    else:
+        nonlinear = spec.h1 * e_up * (np.expm1(spec.A * u) + (1.0 - hp.t)) + (
+            spec.h2 * e_dn * (np.expm1(-spec.B * u) + (1.0 - hp.t))
+        )
+    return g.neg_laplacian() @ u + nonlinear
+
+
+def jacobian_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
+    """``jacobian`` (``hp=None``) and ``jacobian_homotopy`` as written out before the shared kernel."""
+    u = np.asarray(u, dtype=float)
+    e_up, e_dn = _exponentials_oracle(spec, u)
+    t = (0.0 if spec.kind is Kind.CLASSIC else 1.0) if hp is None else hp.t
+    if spec.kind is Kind.CLASSIC:
+        c1, c2 = spec.h1, spec.h2
+        if hp is not None:
+            c1 = t * hp.epsilon + (1.0 - t) * spec.h1
+            c2 = -t * hp.epsilon + (1.0 - t) * spec.h2
+        diag = spec.A * c1 * e_up - spec.B * c2 * e_dn
+    else:
+        diag = spec.h1 * spec.A * e_up * (2.0 * e_up - t) + (
+            spec.h2 * spec.B * e_dn * (t - 2.0 * e_dn)
+        )
+    mat = g.neg_laplacian().copy()
+    mat[np.diag_indices_from(mat)] += diag
+    return mat
+
+
+def deflation_terms_oracle(u, known):
+    """Deflation multiplier prod_k(1 + 1/||u-u_k||^2) and its gradient, both built on every call."""
+    factor = 1.0
+    grad = np.zeros_like(u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for root in known:
+            diff = u - root
+            d2 = float(np.dot(diff, diff))
+            if d2 == 0.0:
+                return math.inf, grad
+            factor *= 1.0 + 1.0 / d2
+            grad += -2.0 * diff / (d2 * d2 + d2)
+    return factor, factor * grad
+
+
+def deflated_jacobian_oracle(fun, jac_fun, known, u):
+    """Jacobian of the deflated residual with ``F(u)`` evaluated afresh."""
+    factor, grad = deflation_terms_oracle(u, known)
+    return factor * jac_fun(u) + np.outer(fun(u), grad)

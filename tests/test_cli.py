@@ -175,6 +175,28 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "lines,argv",
+    [
+        (K2_LINES, ["degree", "--A", "inf", "--B", "1"]),
+        (K2_LINES, ["solve", "--A", "1", "--B", "inf"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--radius", "-1"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--radius", "nan"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--radius", "inf"]),
+        ("vertex a 1 1 1\nvertex b 1 1 1\nedge a b 1\n", ["degree", "--A", "1", "--B", "1", "--radius", "nan"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--starts", "0"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--starts", "-5"]),
+        (K2_LINES, ["check", "--A", "1", "--B", "1", "--starts", "0"]),
+    ],
+)
+def test_bad_numbers_are_validation_errors(tmp_path, capsys, lines, argv):
+    path = write(tmp_path, lines)
+    code, out, err = run(capsys, [argv[0], path, "--equation", "classic", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
 def test_degenerate_root_exit_code(tmp_path, capsys):
     # unit K2 with A*h1 - B*h2 = -lambda1 makes the zero root degenerate
     path = write(tmp_path, "vertex a 1 1 3\nvertex b 1 1 3\nedge a b 1\n")

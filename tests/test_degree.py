@@ -15,9 +15,12 @@ from tzgraph import (
     SolverConfig,
     degree_single_vertex,
     estimate_degree,
+    jacobian,
     residual,
     verify_homotopy_invariance,
 )
+from tzgraph.degree import _canonical_order, _enumerate_signed_roots
+from tzgraph.errors import SpecValidationError
 
 CFG = SolverConfig()
 
@@ -88,6 +91,47 @@ def test_degree_invariant_under_radius_doubling():
     base = estimate_degree(spec, g, CFG, n_starts=32)
     doubled = estimate_degree(spec, g, CFG, n_starts=32, radius=2.0 * base.radius)
     assert base.degree == doubled.degree
+
+
+def test_estimate_degree_matches_the_enumerator_on_public_functions():
+    rng = np.random.default_rng(347)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec)
+    for trial in range(6):
+        n = int(rng.integers(2, 5))
+        g = helpers.random_graph(rng, n)
+        spec = makers[trial % len(makers)](rng, n)
+        report = estimate_degree(spec, g, CFG, n_starts=16)
+        roots, signs, runs = _enumerate_signed_roots(
+            lambda u: residual(spec, g, u),
+            lambda u: jacobian(spec, g, u),
+            g.n,
+            report.radius,
+            CFG,
+            16,
+        )
+        solutions, ordered = _canonical_order(roots, signs)
+        assert [u.tobytes() for u in report.solutions] == [u.tobytes() for u in solutions]
+        assert report.signs == ordered
+        assert report.degree == sum(ordered)
+        assert report.starts_used == runs
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_search_radius_must_be_finite_and_positive(radius):
+    g = helpers.k2()
+    for h2 in (-1.0, 1.0):  # searched, and short-circuited by the obstruction
+        with pytest.raises(SpecValidationError):
+            estimate_degree(constant_spec(Kind.CLASSIC, 2, 1.0, h2), g, CFG, radius=radius)
+
+
+@pytest.mark.parametrize("n_starts", [0, -5])
+def test_search_needs_a_start(n_starts):
+    g = helpers.k2()
+    spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
+    with pytest.raises(SpecValidationError):
+        estimate_degree(spec, g, CFG, n_starts=n_starts)
+    with pytest.raises(SpecValidationError):
+        verify_homotopy_invariance(spec, g, CFG, n_starts=n_starts)
 
 
 def test_degenerate_root_raises():

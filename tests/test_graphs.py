@@ -62,6 +62,17 @@ def test_laplacian_matrix_matches_operator():
     assert np.allclose(laplacian_matrix(g) @ u, laplacian(g, u), atol=1e-14)
 
 
+def test_laplacian_matrix_matches_the_edge_loop_bitwise():
+    rng = np.random.default_rng(11)
+    graphs = [helpers.random_graph(rng, 1), helpers.k2(), helpers.path3()]
+    for _ in range(60):
+        data = helpers.random_graph_data(rng, int(rng.integers(2, 41)))
+        rng.shuffle(data["edges"])
+        graphs.append(helpers.build_graph(data))
+    for g in graphs:
+        assert laplacian_matrix(g).tobytes() == helpers.laplacian_matrix_oracle(g).tobytes()
+
+
 def test_gradient_norm_sq_constant():
     g = helpers.path3()
     assert np.all(gradient_norm_sq(g, np.full(3, 4.2)) == 0.0)

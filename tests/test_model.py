@@ -24,6 +24,8 @@ from tzgraph import (
     residual,
     residual_homotopy,
 )
+from tzgraph.errors import AlignmentError
+from tzgraph.model import _kernels
 
 
 def constant_spec(kind, n, h1, h2, A=1.0, B=1.0):
@@ -292,3 +294,84 @@ def test_problem_spec_validation():
         ProblemSpec(Kind.CLASSIC, np.array([1.0]), np.array([-1.0]), 0.0, 1.0)
     with pytest.raises(SpecValidationError):
         ProblemSpec(Kind.CLASSIC, np.array([1.0, 1.0]), np.array([-1.0]), 1.0, 1.0)
+    for A, B in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)):
+        with pytest.raises(SpecValidationError):
+            ProblemSpec(Kind.CLASSIC, np.array([1.0]), np.array([-1.0]), A, B)
+
+
+# ---------------------------------------------------------------------------
+# unchecked kernels
+
+
+def _deformations(spec):
+    """The identity (None) and t in {0, 0.5, 1} of the spec's deformation."""
+    eps = default_epsilon(spec) if spec.kind is Kind.CLASSIC else None
+    return [None] + [HomotopyParams(t, eps) for t in (0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
+def test_kernels_equal_public_functions_and_old_formulas_bitwise(kind):
+    rng = np.random.default_rng(101 if kind is Kind.CLASSIC else 103)
+    make_spec = helpers.classic_spec if kind is Kind.CLASSIC else helpers.generalized_spec
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        g = helpers.random_graph(rng, n)
+        spec = make_spec(rng, n)
+        u = rng.normal(0.0, 0.7, n)
+        for hp in _deformations(spec):
+            fun, jac = _kernels(spec, g, hp)
+            if hp is None:
+                public = (residual(spec, g, u), jacobian(spec, g, u))
+            else:
+                public = (residual_homotopy(spec, g, u, hp), jacobian_homotopy(spec, g, u, hp))
+            old = (
+                helpers.residual_formula_oracle(spec, g, u, hp),
+                helpers.jacobian_formula_oracle(spec, g, u, hp),
+            )
+            for got, pub, ref in zip((fun(u), jac(u)), public, old):
+                assert got.tobytes() == pub.tobytes() == ref.tobytes()
+
+
+def test_public_functions_still_validate():
+    g = helpers.k2()
+    spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
+    hp = HomotopyParams(0.5, default_epsilon(spec))
+    public = [
+        lambda s, u: residual(s, g, u),
+        lambda s, u: jacobian(s, g, u),
+        lambda s, u: residual_homotopy(s, g, u, hp),
+        lambda s, u: jacobian_homotopy(s, g, u, hp),
+    ]
+    misaligned = constant_spec(Kind.CLASSIC, 3, 1.0, -1.0)
+    for call in public:
+        with pytest.raises(AlignmentError):
+            call(spec, [0.0, 0.0, 0.0])
+        with pytest.raises(AlignmentError):
+            call(spec, [0.0, math.nan])
+        with pytest.raises(SpecValidationError):
+            call(misaligned, [0.0, 0.0])
+    with pytest.raises(SpecValidationError):
+        residual_homotopy(spec, g, np.zeros(2), HomotopyParams(0.5))
+    with pytest.raises(SpecValidationError):
+        _kernels(misaligned, g)
+
+
+def test_kernels_keep_the_exponent_guard():
+    g = helpers.k2()
+    fun, jac = _kernels(constant_spec(Kind.CLASSIC, 2, 1.0, -1.0), g)
+    for call in (fun, jac):
+        with pytest.raises(ExponentOverflowError):
+            call(np.array([800.0, 0.0]))
+    fun, jac = _kernels(constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0), g, HomotopyParams(0.5))
+    for call in (fun, jac):
+        with pytest.raises(ExponentOverflowError):
+            call(np.array([0.0, -400.0]))
+
+
+def test_infeasible_deformation_has_one_error():
+    spec = constant_spec(Kind.CLASSIC, 2, 1.0, 0.5)
+    with pytest.raises(HomotopyInfeasibleError) as from_default:
+        default_epsilon(spec)
+    with pytest.raises(HomotopyInfeasibleError) as from_validation:
+        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5, 0.1))
+    assert str(from_default.value) == str(from_validation.value)

@@ -26,7 +26,8 @@ from tzgraph import (
     residual,
 )
 from tzgraph.linalg import halton_ball
-from tzgraph.solvers import _newton_system
+from tzgraph.model import _kernels
+from tzgraph.solvers import _deflated_system, _newton_system
 
 CFG = SolverConfig()
 
@@ -146,6 +147,75 @@ def test_deflating_the_unique_classic_root_never_converges():
     for start in starts:
         report = newton_deflated(spec, g, known, start, CFG)
         assert not report.converged
+
+
+def _deflation_case():
+    rng = np.random.default_rng(241)
+    g = helpers.random_graph(rng, 4)
+    spec = helpers.generalized_spec(rng, 4)
+    known = [np.zeros(4), rng.normal(0.0, 0.3, 4)]
+    return rng, g, spec, known
+
+
+def test_deflated_jacobian_matches_the_old_terms_bitwise():
+    rng, g, spec, known = _deflation_case()
+    fun, jac = _kernels(spec, g)
+    dfun, djac = _deflated_system(fun, jac, known)
+    for _ in range(20):
+        u = rng.normal(0.0, 0.5, 4)
+        expected = helpers.deflated_jacobian_oracle(fun, jac, known, u).tobytes()
+        assert djac(u).tobytes() == expected  # no dfun call at u yet: F is evaluated
+        factor, _ = helpers.deflation_terms_oracle(u, known)
+        assert dfun(u).tobytes() == (factor * fun(u)).tobytes()
+        assert djac(u).tobytes() == expected  # F reused from that dfun call
+        assert djac(u.copy()).tobytes() == expected  # another array: F evaluated again
+
+
+def test_deflated_newton_evaluates_the_residual_once_per_deflated_residual():
+    _, g, spec, known = _deflation_case()
+    fun, jac = _kernels(spec, g)
+    calls = {"base": 0, "deflated": 0}
+
+    def base(u):
+        calls["base"] += 1
+        return fun(u)
+
+    dfun, djac = _deflated_system(base, jac, known)
+
+    def deflated(u):
+        calls["deflated"] += 1
+        return dfun(u)
+
+    report = _newton_system(deflated, djac, np.full(4, 0.4), CFG)
+    assert report.iterations >= 3
+    assert calls["base"] == calls["deflated"]
+
+
+def test_newton_validates_its_start_once(monkeypatch):
+    import tzgraph.graphs
+    import tzgraph.model
+    import tzgraph.solvers
+
+    calls = []
+    original = tzgraph.graphs.as_field
+
+    def counted(g, values):
+        calls.append(1)
+        return original(g, values)
+
+    for module in (tzgraph.graphs, tzgraph.model, tzgraph.solvers):
+        monkeypatch.setattr(module, "as_field", counted)
+    rng = np.random.default_rng(251)
+    g = helpers.random_graph(rng, 5)
+    spec = helpers.classic_spec(rng, 5)
+    counts = []
+    for scale in (0.1, 2.0):
+        calls.clear()
+        report = newton(spec, g, np.full(5, scale), CFG)
+        assert report.converged
+        counts.append((report.iterations, len(calls)))
+    assert counts[0][0] != counts[1][0]
+    assert counts[0][1] == counts[1][1] == 1
 
 
 # ---------------------------------------------------------------------------
