@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
 from .estimates import AprioriBox, bounds_classic, bounds_generalized, elliptic_constant
 from .graphs import (
     WeightedGraph,
+    _index_edges,
     graph_constants,
     gradient_norm_sq,
     integrate,
@@ -81,28 +83,29 @@ class GraphDocument:
     vertices: list[tuple[str, float, float, float]]
     edges: list[tuple[str, str, float]]
 
-    def labels(self) -> list[str]:
-        return [v[0] for v in self.vertices]
-
     def to_graph(self) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
-        g = WeightedGraph(
-            self.labels(),
-            [v[1] for v in self.vertices],
-            self.edges,
-        )
-        h1 = np.array([v[2] for v in self.vertices])
-        h2 = np.array([v[3] for v in self.vertices])
+        g = WeightedGraph([v[0] for v in self.vertices], [v[1] for v in self.vertices], self.edges)
+        h1, h2 = (np.array([v[k] for v in self.vertices]) for k in (2, 3))
         return g, h1, h2
 
 
-def _parse_number(token: str, line: int, what: str) -> float:
+def _parse_number(token: str, line: int, what: str, positive: bool = False) -> float:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(f"bad {what} {token!r}", line) from None
     if not math.isfinite(value):
         raise ParseError(f"{what} must be finite, got {token!r}", line)
+    if positive and value <= 0.0:
+        raise ParseError(f"{what} must be positive, got {value:g}", line)
     return value
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
 
 
 def parse_graph(path: str | Path) -> GraphDocument:
@@ -116,14 +119,13 @@ def parse_graph(path: str | Path) -> GraphDocument:
     except UnicodeDecodeError:
         raise ParseError("file is not valid UTF-8") from None
 
+    # a line without "#" needs no cut, which saves a method call on most lines
+    rows = [line.partition("#")[0].split() if "#" in line else line.split() for line in text.splitlines()]
+    is_edge = [len(tokens) == 4 and tokens[0] == "edge" for tokens in rows]
     vertices: list[tuple[str, float, float, float]] = []
     seen: dict[str, int] = {}
-    pending_edges: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        tokens = body.split()
-        if not tokens:
-            continue
+    # every record but a well-formed edge, in file order: record shape and vertex data
+    for lineno, tokens in [(i, t) for i, (t, e) in enumerate(zip(rows, is_edge), 1) if t and not e]:
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) != 5:
@@ -134,42 +136,40 @@ def parse_graph(path: str | Path) -> GraphDocument:
             label = tokens[1]
             if label in seen:
                 raise ParseError(f"duplicate vertex {label!r} (first declared on line {seen[label]})", lineno)
-            mu = _parse_number(tokens[2], lineno, "vertex measure")
-            if mu <= 0.0:
-                raise ParseError(f"vertex measure must be positive, got {mu:g}", lineno)
+            mu = _parse_number(tokens[2], lineno, "vertex measure", positive=True)
             h1 = _parse_number(tokens[3], lineno, "h1 value")
             h2 = _parse_number(tokens[4], lineno, "h2 value")
             seen[label] = lineno
             vertices.append((label, mu, h1, h2))
         elif kind == "edge":
-            if len(tokens) != 4:
-                raise ParseError(
-                    f"edge record needs 'edge <labelA> <labelB> <weight>', got {len(tokens) - 1} fields",
-                    lineno,
-                )
-            pending_edges.append((lineno, tokens[1:]))
+            raise ParseError(
+                f"edge record needs 'edge <labelA> <labelB> <weight>', got {len(tokens) - 1} fields",
+                lineno,
+            )
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
 
     if not vertices:
         raise ParseError("file declares no vertices")
 
-    edges: list[tuple[str, str, float]] = []
-    used: set[frozenset[str]] = set()
-    for lineno, (a, b, w_token) in ((ln, tuple(t)) for ln, t in pending_edges):
-        for endpoint in (a, b):
-            if endpoint not in seen:
-                raise ParseError(f"edge endpoint {endpoint!r} is not a declared vertex", lineno)
-        if a == b:
-            raise ParseError(f"self-loop at vertex {a!r}", lineno)
-        key = frozenset((a, b))
-        if key in used:
-            raise ParseError(f"duplicate edge {a!r}-{b!r}", lineno)
-        used.add(key)
-        w = _parse_number(w_token, lineno, "edge weight")
-        if w <= 0.0:
-            raise ParseError(f"edge weight must be positive, got {w:g}", lineno)
-        edges.append((a, b, w))
+    ends_a, ends_b, weight_tokens = ([t[k] for t in compress(rows, is_edge)] for k in (1, 2, 3))
+    try:
+        weights = list(map(float, weight_tokens))
+    except ValueError:  # an unparsable weight fails the weight check
+        weights = [_float_or_nan(token) for token in weight_tokens]
+    index = {label: i for i, label in enumerate(seen)}
+    fault = _index_edges(index, ends_a, ends_b, weights)[3]
+    if fault is not None:
+        k, check = fault
+        lineno, a, b = list(compress(count(1), is_edge))[k], ends_a[k], ends_b[k]
+        if check == "weight":  # raises: the token is unparsable, not finite or not positive
+            _parse_number(weight_tokens[k], lineno, "edge weight", positive=True)
+        raise ParseError({
+            "endpoint": f"edge endpoint {(a if a not in index else b)!r} is not a declared vertex",
+            "self-loop": f"self-loop at vertex {a!r}",
+            "duplicate": f"duplicate edge {a!r}-{b!r}",
+        }[check], lineno)
+    edges = list(zip(ends_a, ends_b, weights))
     return GraphDocument(vertices, edges)
 
 
@@ -266,10 +266,6 @@ def _graph_payload(path: str, g: WeightedGraph) -> dict:
     }
 
 
-def _solution_list(u: np.ndarray) -> list[float]:
-    return [float(x) for x in u]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -284,14 +280,11 @@ def _applicable_box(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox | None:
 
 def _cmd_solve(spec, g, cfg, args):
     box = _applicable_box(spec, g)
-    if spec.kind is Kind.CLASSIC:
-        if float(spec.h2.min()) >= 0.0:
-            raise NoSolutionError("integral obstruction: no solution exists")
-        if box is not None:
-            reports = continuation(spec, g, default_t_grid(), None, cfg)
-            report, method, stages = reports[-1], "continuation+newton", len(reports)
-        else:
-            report, method, stages = newton(spec, g, np.zeros(g.n), cfg), "newton", 1
+    if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
+        raise NoSolutionError("integral obstruction: no solution exists")
+    if spec.kind is Kind.CLASSIC and box is not None:
+        reports = continuation(spec, g, default_t_grid(), None, cfg)
+        report, method, stages = reports[-1], "continuation+newton", len(reports)
     else:
         report, method, stages = newton(spec, g, np.zeros(g.n), cfg), "newton", 1
     if not report.converged:
@@ -306,7 +299,7 @@ def _cmd_solve(spec, g, cfg, args):
         "iterations": report.iterations,
         "jac_sign": report.jac_sign,
         "residual_norm": report.residual_norm,
-        "solution": _solution_list(report.solution),
+        "solution": report.solution,
     }
     return result, box, 0
 
@@ -316,7 +309,7 @@ def _cmd_degree(spec, g, cfg, args):
     result = {
         "degree": report.degree,
         "signs": list(report.signs),
-        "solutions": [_solution_list(u) for u in report.solutions],
+        "solutions": list(report.solutions),
         "radius": report.radius,
         "starts_used": report.starts_used,
         "exhaustive_confidence": report.exhaustive_confidence.value,
@@ -339,7 +332,7 @@ def _cmd_multiplicity(spec, g, cfg, args):
     separation = float(np.max(np.abs(reports[0].solution - reports[1].solution)))
     result = {
         "barrier": {"delta": barriers.delta, "beta": barriers.beta, "side": barriers.side},
-        "solutions": [_solution_list(r.solution) for r in reports],
+        "solutions": [r.solution for r in reports],
         "jac_signs": [r.jac_sign for r in reports],
         "residual_norms": [r.residual_norm for r in reports],
         "separation_sup": separation,
@@ -393,8 +386,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
         u = rng.normal(0.0, 0.4, n)
         jac = jacobian(spec, g, u)
         for x in range(n):
-            bump = np.zeros(n)
-            bump[x] = tau
+            bump = tau * np.eye(n)[x]
             column = (residual(spec, g, u + bump) - residual(spec, g, u - bump)) / (2 * tau)
             scale = max(float(np.max(np.abs(jac[:, x]))), 1.0)
             worst = max(worst, float(np.max(np.abs(column - jac[:, x]))) / scale)
@@ -434,8 +426,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
             grad = energy_gradient(spec, g, u)
             fd = np.zeros(n)
             for x in range(n):
-                bump = np.zeros(n)
-                bump[x] = tau
+                bump = tau * np.eye(n)[x]
                 fd[x] = (energy(spec, g, u + bump) - energy(spec, g, u - bump)) / (2 * tau)
             fd /= g.mu
             worst = max(

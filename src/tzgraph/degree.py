@@ -259,10 +259,6 @@ def estimate_degree(
     )
 
 
-def _single_vertex_graph() -> WeightedGraph:
-    return WeightedGraph(("o",), (1.0,), ())
-
-
 def _scalar_values(spec: ProblemSpec, c: np.ndarray) -> np.ndarray:
     h1 = float(spec.h1[0])
     h2 = float(spec.h2[0])
@@ -286,7 +282,7 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     """
     if spec.n != 1:
         raise SpecValidationError("scalar enumeration needs a single-vertex problem")
-    k1 = _single_vertex_graph()
+    k1 = WeightedGraph(("o",), (1.0,), ())
     if spec.kind is Kind.CLASSIC and float(spec.h2[0]) >= 0.0:
         return DegreeReport((), (), 0, math.inf, 0, Confidence.PROVEN)
     box = bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, k1)

@@ -100,7 +100,7 @@ def bounds_generalized(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
     max_h2 = float(spec.h2.max())
     min_h2 = float(spec.h2.min())
     volume = g.volume
-    mu0 = g.min_measure
+    mu0 = float(g.mu.min())
 
     upper = math.log(0.5 + math.sqrt(max_h2 / (4.0 * min_h1) + 0.25)) / spec.A
     majorant = max_h2 * volume + max_h1 * max(0.25, math.exp(2.0 * spec.A * upper)) * volume

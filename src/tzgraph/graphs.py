@@ -20,6 +20,7 @@ every operation here is a pure function.
 from __future__ import annotations
 
 from collections import deque
+from operator import eq
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -79,48 +80,34 @@ class WeightedGraph:
 
         mu_arr = np.array(mu, dtype=float)
         if mu_arr.shape != (len(ids),):
-            raise GraphConstructionError(
-                f"measure has {mu_arr.size} entries for {len(ids)} vertices"
-            )
+            raise GraphConstructionError(f"measure has {mu_arr.size} entries for {len(ids)} vertices")
         if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
             raise GraphConstructionError("vertex measure must be positive and finite")
 
-        tails: list[int] = []
-        heads: list[int] = []
-        weights: list[float] = []
-        seen: set[tuple[int, int]] = set()
-        for a, b, w in edges:
-            if a not in index or b not in index:
-                missing = a if a not in index else b
-                raise GraphConstructionError(f"edge references unknown vertex {missing!r}")
-            i, j = index[a], index[b]
-            if i == j:
-                raise GraphConstructionError(f"self-loop at vertex {a!r}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphConstructionError(f"duplicate edge {a!r}-{b!r}")
-            seen.add(key)
-            w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
-                raise GraphConstructionError(f"edge {a!r}-{b!r} has nonpositive weight")
-            tails.append(i)
-            heads.append(j)
-            weights.append(w)
+        ends_a, ends_b, weights = tuple(zip(*edges)) or ((), (), ())
+        tails, heads, weight, fault = _index_edges(index, ends_a, ends_b, weights)
+        if fault is not None:
+            a, b = ends_a[fault[0]], ends_b[fault[0]]
+            raise GraphConstructionError({
+                "endpoint": f"edge references unknown vertex {(a if a not in index else b)!r}",
+                "self-loop": f"self-loop at vertex {a!r}",
+                "duplicate": f"duplicate edge {a!r}-{b!r}",
+                "weight": f"edge {a!r}-{b!r} has nonpositive weight",
+            }[fault[1]])
 
         self.vertex_ids = ids
-        self._index = index
         self.mu = mu_arr
-        self.edge_tail = np.asarray(tails, dtype=int)
-        self.edge_head = np.asarray(heads, dtype=int)
-        self.edge_weight = np.asarray(weights, dtype=float)
+        self.volume = float(mu_arr.sum())
+        tails, heads = np.array(tails, dtype=int), np.array(heads, dtype=int)
+        self.edge_tail, self.edge_head, self.edge_weight = tails, heads, weight
         for arr in (self.mu, self.edge_tail, self.edge_head, self.edge_weight):
             arr.flags.writeable = False
 
-        adjacency: list[list[int]] = [[] for _ in ids]
-        for i, j in zip(tails, heads):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        self._adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
+        # each edge seen from both ends, sorted by vertex, then by neighbour
+        ends, nbrs = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+        nbrs = nbrs[np.argsort(ends * len(ids) + nbrs)].tolist()
+        stops = np.bincount(ends, minlength=len(ids)).cumsum().tolist()
+        self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip([0, *stops], stops))
 
         self._check_connected()
         self._neg_laplacian_cache: np.ndarray | None = None
@@ -134,23 +121,8 @@ class WeightedGraph:
     def m(self) -> int:
         return self.edge_weight.size
 
-    @property
-    def volume(self) -> float:
-        return float(self.mu.sum())
-
-    @property
-    def min_measure(self) -> float:
-        return float(self.mu.min())
-
-    @property
-    def min_weight(self) -> float | None:
-        """Smallest edge weight, or None for the single-vertex graph."""
-        return float(self.edge_weight.min()) if self.m else None
-
-    def index_of(self, label: Hashable) -> int:
-        return self._index[label]
-
     def neighbors(self, i: int) -> tuple[int, ...]:
+        """Indices of the vertices adjacent to vertex ``i``, ascending."""
         return self._adjacency[i]
 
     def _check_connected(self) -> None:
@@ -199,6 +171,32 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m}, volume={self.volume:.6g})"
+
+
+EDGE_CHECKS = ("endpoint", "self-loop", "duplicate", "weight")
+
+
+def _index_edges(index: dict, ends_a: Sequence, ends_b: Sequence, weights: Sequence[float]):
+    """Endpoint indices (-1 if unknown) and weights of an edge list, and its first fault.
+
+    The fault is None or ``(k, check)``: edge ``k`` is the first to fail one of ``EDGE_CHECKS``,
+    each run on all edges at once, and ``check`` the first it fails, as a loop over edges finds.
+    """
+    n = len(index)
+    tails = [index.get(a, -1) for a in ends_a]
+    heads = [index.get(b, -1) for b in ends_b]
+    keys = [i * n + j if i < j else j * n + i for i, j in zip(tails, heads)]  # < 0 if unknown
+    weight = np.array(weights, dtype=float)
+    bad_weight = ~(np.isfinite(weight) & (weight > 0.0))
+    if min(keys, default=0) >= 0 and not any(map(eq, tails, heads)) and len(set(keys)) == len(keys):
+        if not np.count_nonzero(bad_weight):
+            return tails, heads, weight, None
+    repeats = np.ones(len(keys), dtype=bool)  # every edge but the first of its pair
+    repeats[np.unique(keys, return_index=True)[1]] = False
+    # one row per check, one column per edge
+    failing = np.array([[key < 0 for key in keys], list(map(eq, tails, heads)), repeats, bad_weight])
+    k = int(failing.any(axis=0).argmax())
+    return tails, heads, weight, (k, EDGE_CHECKS[int(failing[:, k].argmax())])
 
 
 def _reach_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,5 +291,6 @@ def graph_constants(g: WeightedGraph) -> GraphConstants:
             sym = g.neg_laplacian() * sqrt_mu[:, None] / sqrt_mu[None, :]
             lambda1 = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[1])
         ell = g.diameter_edges() + 1
-        g._constants_cache = GraphConstants(g.volume, g.min_weight, g.min_measure, ell, lambda1)
+        w0 = float(g.edge_weight.min()) if g.m else None
+        g._constants_cache = GraphConstants(g.volume, w0, float(g.mu.min()), ell, lambda1)
     return g._constants_cache

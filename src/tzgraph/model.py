@@ -23,9 +23,10 @@ product, which is why ``energy_gradient`` and ``residual`` share one code
 path.
 
 The four residual and Jacobian functions validate their inputs, then run
-one kernel with the deformation as a parameter (``_kernels``).  Solvers
-validate once per entry point and iterate on the kernel's unchecked
-callables, which keep only the exponent guard.
+one kernel with the deformation as a parameter (``_kernels``); ``energy``
+does the same with ``_energy_kernel``.  Solvers validate once per entry
+point and iterate on the kernels' unchecked callables, which keep only the
+exponent guard.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     HomotopyInfeasibleError,
     SpecValidationError,
 )
-from .graphs import WeightedGraph, as_field, integrate
+from .graphs import WeightedGraph, as_field
 
 __all__ = [
     "Kind",
@@ -231,6 +232,24 @@ def _kernels(
     return fun, jac
 
 
+def _energy_kernel(spec: ProblemSpec, g: WeightedGraph) -> Callable[[np.ndarray], float]:
+    """Unchecked ``energy`` callable; like ``_kernels`` it checks the spec once, here."""
+    _check_spec_alignment(spec, g)
+    A, B, mu, h1_a, h2_b = spec.A, spec.B, g.mu, spec.h1 / spec.A, spec.h2 / spec.B
+    tail, head, weight = g.edge_tail, g.edge_head, g.edge_weight
+
+    def energy_of(u: np.ndarray) -> float:
+        # range guard; the squares below double exponents
+        au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
+        up, dn = np.expm1(au), np.expm1(bu)
+        # integral of |grad u|^2 d(mu) collapses to a plain edge sum
+        diff = u[head] - u[tail]
+        pointwise = h1_a * up * up - h2_b * dn * dn
+        return 0.5 * (float(np.dot(weight, diff * diff)) + float(np.dot(mu, pointwise)))
+
+    return energy_of
+
+
 def residual(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     """Pointwise residual of the equation at u (zero exactly at solutions)."""
     return _kernels(spec, g)[0](as_field(g, u))
@@ -268,17 +287,7 @@ def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:
     """
     if spec.kind is not Kind.GENERALIZED:
         raise SpecValidationError("the energy functional is defined for the generalized kind only")
-    u = as_field(g, u)
-    _check_spec_alignment(spec, g)
-    # range guard; the squares below double exponents
-    au, bu = _exponents(spec.A, spec.B, EXP_CAP_GENERALIZED, u)
-    up = np.expm1(au)
-    dn = np.expm1(bu)
-    # integral of |grad u|^2 d(mu) collapses to a plain edge sum
-    diff = u[g.edge_head] - u[g.edge_tail]
-    dirichlet = float(np.dot(g.edge_weight, diff * diff))
-    pointwise = spec.h1 / spec.A * up * up - spec.h2 / spec.B * dn * dn
-    return 0.5 * (dirichlet + integrate(g, pointwise))
+    return _energy_kernel(spec, g)(as_field(g, u))
 
 
 def energy_gradient(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:

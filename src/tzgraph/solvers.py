@@ -28,11 +28,12 @@ from .errors import (
     SpecValidationError,
 )
 from .estimates import bounds_generalized
-from .graphs import WeightedGraph, as_field, average
+from .graphs import WeightedGraph, as_field
 from .model import (
     HomotopyParams,
     Kind,
     ProblemSpec,
+    _energy_kernel,
     _kernels,
     default_epsilon,
     energy,
@@ -80,6 +81,8 @@ class SolverConfig:
             raise SpecValidationError("min_step must be positive")
         if not self.deflation_radius > 0.0:
             raise SpecValidationError("deflation_radius must be positive")
+        if self.seed < 0:
+            raise SpecValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -509,13 +512,13 @@ def _mean_constant_root(
     fun: Callable[[np.ndarray], np.ndarray], g: WeightedGraph, lo: float, hi: float
 ) -> float:
     """Bisect the measure-averaged residual kernel on constant fields over [lo, hi]."""
-    f_lo = average(g, fun(np.full(g.n, lo)))
-    f_hi = average(g, fun(np.full(g.n, hi)))
+    f_lo = float(np.dot(g.mu, fun(np.full(g.n, lo)))) / g.volume
+    f_hi = float(np.dot(g.mu, fun(np.full(g.n, hi)))) / g.volume
     if f_lo * f_hi >= 0.0:
         return 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = average(g, fun(np.full(g.n, mid)))
+        f_mid = float(np.dot(g.mu, fun(np.full(g.n, mid)))) / g.volume
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):
@@ -549,9 +552,11 @@ def minimize_box(
     lo, hi = bp.box()
     mu = g.mu
     fun, jac = _kernels(spec, g)
+    energy_of = _energy_kernel(spec, g)
 
     u = np.full(g.n, _mean_constant_root(fun, g, lo, hi))
     np.clip(u, lo, hi, out=u)
+    # the public functions check the start once; the loops run on the kernels
     j_val = energy(spec, g, u)
     grad = residual(spec, g, u)
     energies = [j_val]
@@ -584,7 +589,7 @@ def minimize_box(
                 a *= cfg.shrink
                 continue
             try:
-                j_trial = energy(spec, g, trial)
+                j_trial = energy_of(trial)
             except ExponentOverflowError:
                 a *= cfg.shrink
                 continue
@@ -597,7 +602,7 @@ def minimize_box(
             status = "stalled"
             break
 
-        new_grad = residual(spec, g, trial)
+        new_grad = fun(trial)
         s = direction
         y = new_grad - grad
         sy = float(np.dot(mu * s, y))
@@ -615,9 +620,9 @@ def minimize_box(
         polish = _newton_system(fun, jac, u, cfg)
         if polish.converged and np.all(polish.solution > lo) and np.all(polish.solution < hi):
             u = np.array(polish.solution)
-            grad = residual(spec, g, u)
+            grad = fun(u)
             grad_norm = float(np.max(np.abs(grad)))
-            j_val = energy(spec, g, u)
+            j_val = energy_of(u)
             energies.append(j_val)
             polish_iterations = polish.iterations
             if _trace is not None:

@@ -12,7 +12,9 @@ from collections import deque
 
 import numpy as np
 
-from tzgraph import Kind, ProblemSpec, WeightedGraph
+from tzgraph import Kind, ProblemSpec, WeightedGraph, average, residual
+from tzgraph.cli import GraphDocument
+from tzgraph.errors import DisconnectedGraphError, GraphConstructionError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +113,26 @@ def mirror_spec(rng: np.random.Generator, n: int) -> ProblemSpec:
         float(rng.uniform(1.0, 2.0)),
         float(rng.uniform(0.5, 1.0)),
     )
+
+
+# malformed graph files: each maker returns the text of a file that fails
+# validation, every one but the disconnected three-vertex file while parsing
+MALFORMED_MAKERS = (
+    lambda r: "vertex a 1 1 -1\nvertex a 1 1 -1\n",
+    lambda r: f"vertex a {-r.uniform(0.1, 5):.3f} 1 -1\n",
+    lambda r: "vertex a 1 1 -1\nedge a ghost 1\n",
+    lambda r: "".join(chr(int(c)) for c in r.integers(33, 500, 30)) + "\n",
+    lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 0\n",
+    lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 1\nedge b a 1\n",
+    lambda r: "vertex a 1 1 -1\nedge a a 1\n",
+    lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nvertex c 1 1 -1\nedge a b 1\n",
+    lambda r: "vertex a 1 one -1\n",
+    lambda r: "vertex a 1 1\n",
+    lambda r: "record x y z\n",
+    lambda r: "vertex a nan 1 -1\n",
+    lambda r: "",
+    lambda r: "edge a b 1\nvertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 2\n",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +414,155 @@ def deflated_jacobian_oracle(fun, jac_fun, known, u):
     """Jacobian of the deflated residual with ``F(u)`` evaluated afresh."""
     factor, grad = deflation_terms_oracle(u, known)
     return factor * jac_fun(u) + np.outer(fun(u), grad)
+
+
+def graph_arrays_oracle(vertex_ids, mu, edges):
+    """The edge-by-edge loop that built ``WeightedGraph`` before the bulk checks.
+
+    Raises what the constructor raised; otherwise returns the edge arrays
+    and the adjacency lists it stored.
+    """
+    ids = tuple(vertex_ids)
+    if not ids:
+        raise GraphConstructionError("graph needs at least one vertex")
+    if len(set(ids)) != len(ids):
+        raise GraphConstructionError("duplicate vertex labels")
+    index = {label: i for i, label in enumerate(ids)}
+    mu_arr = np.array(mu, dtype=float)
+    if mu_arr.shape != (len(ids),):
+        raise GraphConstructionError(f"measure has {mu_arr.size} entries for {len(ids)} vertices")
+    if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
+        raise GraphConstructionError("vertex measure must be positive and finite")
+
+    tails, heads, weights = [], [], []
+    seen = set()
+    for a, b, w in edges:
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise GraphConstructionError(f"edge references unknown vertex {missing!r}")
+        i, j = index[a], index[b]
+        if i == j:
+            raise GraphConstructionError(f"self-loop at vertex {a!r}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphConstructionError(f"duplicate edge {a!r}-{b!r}")
+        seen.add(key)
+        w = float(w)
+        if not np.isfinite(w) or w <= 0.0:
+            raise GraphConstructionError(f"edge {a!r}-{b!r} has nonpositive weight")
+        tails.append(i)
+        heads.append(j)
+        weights.append(w)
+
+    adjacency = [[] for _ in ids]
+    for i, j in zip(tails, heads):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        for w in adjacency[queue.popleft()]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) < len(ids):
+        far = min(set(range(len(ids))) - reached)
+        raise DisconnectedGraphError(ids[0], ids[far])
+    return {
+        "edge_tail": np.asarray(tails, dtype=int),
+        "edge_head": np.asarray(heads, dtype=int),
+        "edge_weight": np.asarray(weights, dtype=float),
+        "adjacency": tuple(tuple(nbrs) for nbrs in adjacency),
+    }
+
+
+def _parse_number_oracle(token, line, what):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {token!r}", line)
+    return value
+
+
+def parse_graph_oracle(path) -> GraphDocument:
+    """``cli.parse_graph`` as it was written before the bulk edge checks: one loop per line, then one per edge."""
+    try:
+        text = open(path, "rb").read().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("file is not valid UTF-8") from None
+
+    vertices = []
+    seen = {}
+    pending_edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "vertex":
+            if len(tokens) != 5:
+                raise ParseError(
+                    f"vertex record needs 'vertex <label> <mu> <h1> <h2>', got {len(tokens) - 1} fields",
+                    lineno,
+                )
+            label = tokens[1]
+            if label in seen:
+                raise ParseError(f"duplicate vertex {label!r} (first declared on line {seen[label]})", lineno)
+            mu = _parse_number_oracle(tokens[2], lineno, "vertex measure")
+            if mu <= 0.0:
+                raise ParseError(f"vertex measure must be positive, got {mu:g}", lineno)
+            h1 = _parse_number_oracle(tokens[3], lineno, "h1 value")
+            h2 = _parse_number_oracle(tokens[4], lineno, "h2 value")
+            seen[label] = lineno
+            vertices.append((label, mu, h1, h2))
+        elif kind == "edge":
+            if len(tokens) != 4:
+                raise ParseError(
+                    f"edge record needs 'edge <labelA> <labelB> <weight>', got {len(tokens) - 1} fields",
+                    lineno,
+                )
+            pending_edges.append((lineno, tokens[1:]))
+        else:
+            raise ParseError(f"unknown record type {kind!r}", lineno)
+
+    if not vertices:
+        raise ParseError("file declares no vertices")
+
+    edges = []
+    used = set()
+    for lineno, (a, b, w_token) in pending_edges:
+        for endpoint in (a, b):
+            if endpoint not in seen:
+                raise ParseError(f"edge endpoint {endpoint!r} is not a declared vertex", lineno)
+        if a == b:
+            raise ParseError(f"self-loop at vertex {a!r}", lineno)
+        key = frozenset((a, b))
+        if key in used:
+            raise ParseError(f"duplicate edge {a!r}-{b!r}", lineno)
+        used.add(key)
+        w = _parse_number_oracle(w_token, lineno, "edge weight")
+        if w <= 0.0:
+            raise ParseError(f"edge weight must be positive, got {w:g}", lineno)
+        edges.append((a, b, w))
+    return GraphDocument(vertices, edges)
+
+
+def mean_constant_root_oracle(spec: ProblemSpec, g: WeightedGraph, lo: float, hi: float) -> float:
+    """``solvers._mean_constant_root`` as it was before it ran on the kernel:
+    a bisection of ``average(g, residual(...))`` on constant fields."""
+    f_lo = average(g, residual(spec, g, np.full(g.n, lo)))
+    f_hi = average(g, residual(spec, g, np.full(g.n, hi)))
+    if f_lo * f_hi >= 0.0:
+        return 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = average(g, residual(spec, g, np.full(g.n, mid)))
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return 0.5 * (lo + hi)

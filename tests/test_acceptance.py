@@ -313,24 +313,8 @@ def test_criterion_9_determinism_and_robustness(tmp_path, capsys):
         assert outs[0] == outs[1], f"{command} output not byte-identical"
 
     fuzz_total = 1000
-    mutation_makers = [
-        lambda r: "vertex a 1 1 -1\nvertex a 1 1 -1\n",
-        lambda r: f"vertex a {-r.uniform(0.1, 5):.3f} 1 -1\n",
-        lambda r: "vertex a 1 1 -1\nedge a ghost 1\n",
-        lambda r: "".join(chr(int(c)) for c in r.integers(33, 500, 30)) + "\n",
-        lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 0\n",
-        lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 1\nedge b a 1\n",
-        lambda r: "vertex a 1 1 -1\nedge a a 1\n",
-        lambda r: "vertex a 1 1 -1\nvertex b 1 1 -1\nvertex c 1 1 -1\nedge a b 1\n",
-        lambda r: "vertex a 1 one -1\n",
-        lambda r: "vertex a 1 1\n",
-        lambda r: "record x y z\n",
-        lambda r: "vertex a nan 1 -1\n",
-        lambda r: "",
-        lambda r: "edge a b 1\nvertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 2\n",
-    ]
     for trial in range(fuzz_total):
-        text = mutation_makers[trial % len(mutation_makers)](rng)
+        text = helpers.MALFORMED_MAKERS[trial % len(helpers.MALFORMED_MAKERS)](rng)
         fuzz_path = tmp_path / f"fuzz{trial}.graph"
         fuzz_path.write_text(text)
         code = main(

@@ -187,6 +187,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
         (K2_LINES, ["degree", "--A", "1", "--B", "1", "--starts", "0"]),
         (K2_LINES, ["degree", "--A", "1", "--B", "1", "--starts", "-5"]),
         (K2_LINES, ["check", "--A", "1", "--B", "1", "--starts", "0"]),
+        (K2_LINES, ["degree", "--A", "1", "--B", "1", "--seed", "-1"]),
+        (K2_LINES, ["check", "--A", "1", "--B", "1", "--seed", "-1"]),
     ],
 )
 def test_bad_numbers_are_validation_errors(tmp_path, capsys, lines, argv):

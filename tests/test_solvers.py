@@ -27,7 +27,8 @@ from tzgraph import (
 )
 from tzgraph.linalg import halton_ball
 from tzgraph.model import _kernels
-from tzgraph.solvers import _deflated_system, _newton_system
+from tzgraph.errors import SpecValidationError
+from tzgraph.solvers import _deflated_system, _mean_constant_root, _newton_system
 
 CFG = SolverConfig()
 
@@ -349,6 +350,63 @@ def test_minimize_box_result_is_minimal_among_random_fields():
     for _ in range(100):
         v = rng.uniform(lo, hi, 3)
         assert j_star <= energy(spec, g, v) + 1e-12
+
+
+def test_minimize_box_validates_only_at_entry(monkeypatch):
+    import tzgraph.graphs
+    import tzgraph.model
+    import tzgraph.solvers
+
+    calls = []
+    original = tzgraph.graphs.as_field
+
+    def counted(g, values):
+        calls.append(1)
+        return original(g, values)
+
+    for module in (tzgraph.graphs, tzgraph.model, tzgraph.solvers):
+        monkeypatch.setattr(module, "as_field", counted)
+    rng = np.random.default_rng(281)
+    g = helpers.random_graph(rng, 6)
+    spec = helpers.branch1_spec(rng, 6)
+    barriers = choose_barriers(spec, g)
+    calls.clear()
+    report = minimize_box(spec, g, barriers, CFG)
+    assert report.converged and report.iterations > 0
+    # the entry evaluates energy and residual once each through the public functions
+    assert len(calls) == 2
+
+
+def test_minimize_box_energies_are_the_public_energy_bitwise():
+    rng = np.random.default_rng(283)
+    for n in (1, 3, 6, 9):
+        g = helpers.random_graph(rng, n)
+        spec = helpers.branch1_spec(rng, n)
+        trace = []
+        report = minimize_box(spec, g, choose_barriers(spec, g), CFG, _trace=trace)
+        assert len(trace) == len(report.energy_history) > (n > 1)
+        assert [energy(spec, g, u) for u in trace] == list(report.energy_history)
+        assert np.array_equal(residual(spec, g, report.solution), residual(spec, g, trace[-1]))
+
+
+def test_mean_constant_root_matches_the_average_bisection():
+    rng = np.random.default_rng(293)
+    for n in (1, 2, 5, 8):
+        g = helpers.random_graph(rng, n)
+        spec = helpers.branch1_spec(rng, n)
+        lo, hi = choose_barriers(spec, g).box()
+        fun = _kernels(spec, g)[0]
+        assert _mean_constant_root(fun, g, lo, hi) == helpers.mean_constant_root_oracle(
+            spec, g, lo, hi
+        )
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(SpecValidationError):
+        SolverConfig(seed=-1)
+    # a negative seed would put every start on one corner of the ball
+    assert np.unique(halton_ball(3, 6, 2.0, seed=-1), axis=0).shape[0] == 1
+    assert np.unique(halton_ball(3, 6, 2.0, seed=0), axis=0).shape[0] == 6
 
 
 # ---------------------------------------------------------------------------
