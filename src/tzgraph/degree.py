@@ -125,15 +125,15 @@ def _enumerate_signed_roots(
     def try_start(start: np.ndarray) -> np.ndarray | None:
         nonlocal runs
         runs += 1
-        dfun, djac = _deflated_system(fun, jac_fun, roots)
+        dfun, jac, step_scale = _deflated_system(fun, jac_fun, roots)
         report = _newton_system(
             dfun,
-            djac,
+            jac,
             start,
             run_cfg,
-            sign_jac_fun=jac_fun,
             true_fun=fun,
             escape_radius=escape,
+            step_scale=step_scale,
         )
         if report.residual_norm >= cfg.tol:
             return None

@@ -164,7 +164,7 @@ def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
 def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A u`` and ``-B u``, with a range guard instead of silent infinities later."""
     au, bu = A * u, -B * u
-    up, down = float(au.max()), float(bu.max())
+    up, down = float(np.maximum.reduce(au)), float(np.maximum.reduce(bu))
     if up > cap or down > cap:
         raise ExponentOverflowError(
             f"exponent {max(up, down):.3g} exceeds the cap {cap:.0f}; "

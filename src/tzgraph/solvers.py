@@ -154,49 +154,63 @@ def _newton_system(
     sign_jac_fun: Callable[[np.ndarray], np.ndarray] | None = None,
     true_fun: Callable[[np.ndarray], np.ndarray] | None = None,
     escape_radius: float | None = None,
+    step_scale: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> SolveReport:
     """Damped Newton on a callable system.
 
     Armijo backtracking on the squared 2-norm of the residual times a power of two;
     a step matrix with condition number >= 1/PIVOT_RTOL aborts with ``jac_sign=0``.
-    ``sign_jac_fun``/``true_fun`` let a deflated solve certify against the
-    undeflated system.
+    With ``step_scale``, ``fun`` is a deflated residual ``M F`` and ``jac_fun``
+    the Jacobian of ``F``: the step solves ``J s = -M F`` and is divided by
+    ``step_scale(u, s)``, which makes it the Newton step of ``M F``; a divisor
+    that is zero or not finite aborts like a singular matrix.
+    ``true_fun`` certifies a deflated solve against the undeflated residual;
+    ``sign_jac_fun`` takes the determinant sign when ``jac_fun`` is not ``F``'s.
     """
     sign_jac = sign_jac_fun or jac_fun
     u = np.array(start, dtype=float)
-    r = _safe_eval(fun, u)
-    if r is None:
-        return SolveReport(_freeze(u), math.inf, 0, 0, False, (math.inf,))
-    norm = float(np.max(np.abs(r)))
-    history = [norm]
-    iterations = 0
-    failed = False
-    prev_alpha = 1.0
-    stalled = 0
+    # overflow and inf * 0 in a wild trial only make its merit inf or nan,
+    # which fails the Armijo test
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _safe_eval(fun, u)
+        if r is None:
+            return SolveReport(_freeze(u), math.inf, 0, 0, False, (math.inf,))
+        norm = float(np.max(np.abs(r)))
+        history = [norm]
+        iterations = 0
+        failed = False
+        prev_alpha = 1.0
+        stalled = 0
 
-    while norm >= cfg.tol:
-        if iterations >= cfg.max_iter:
-            failed = True
-            break
-        jac_value = _safe_eval(lambda v: np.ravel(jac_fun(v)), u)
-        if jac_value is None:
-            failed = True
-            break
-        factors = linalg.lu_factor(jac_value.reshape(u.size, u.size))
-        if factors.singular:
-            return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
-        step = linalg.lu_solve(factors, -r)
-        # scaling by a power of two is exact and keeps the merit finite; a
-        # trial whose scaled merit still overflows is rejected like any other
-        scale = math.ldexp(1.0, -math.frexp(norm)[1])
-        phi0 = float(np.dot(scale * r, scale * r))
-        alpha = 1.0
-        accepted = False
-        with np.errstate(over="ignore"):
+        while norm >= cfg.tol:
+            if iterations >= cfg.max_iter:
+                failed = True
+                break
+            jac_value = _safe_eval(jac_fun, u)
+            if jac_value is None:
+                failed = True
+                break
+            factors = linalg.lu_factor(jac_value)
+            if factors.singular:
+                return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
+            step = linalg.lu_solve(factors, -r)
+            if step_scale is not None:
+                divisor = step_scale(u, step)
+                if divisor == 0.0 or not math.isfinite(divisor):
+                    return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
+                step /= divisor
+            # scaling by a power of two is exact and keeps the merit finite
+            scale = math.ldexp(1.0, -math.frexp(norm)[1])
+            phi0 = float(np.dot(scale * r, scale * r))
+            alpha = 1.0
+            accepted = False
             while alpha >= cfg.min_step:
                 trial = u + alpha * step
-                r_trial = _safe_eval(fun, trial)
-                if r_trial is not None:
+                try:
+                    r_trial = fun(trial)
+                except ExponentOverflowError:
+                    pass
+                else:
                     scaled = scale * r_trial
                     if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
                         u, r = trial, r_trial
@@ -208,41 +222,41 @@ def _newton_system(
                     alpha = 2.0 * prev_alpha
                 else:
                     alpha *= cfg.shrink
-        if not accepted:
-            failed = True
-            break
-        prev_alpha = alpha
-        iterations += 1
-        new_norm = float(np.max(np.abs(r)))
-        # crawling lines (sub-0.1% progress) cannot reach tolerance within
-        # any reasonable budget; cut them off early
-        stalled = stalled + 1 if new_norm > 0.999 * norm else 0
-        norm = new_norm
-        history.append(norm)
-        if stalled >= 12:
-            failed = True
-            break
-        if escape_radius is not None and float(np.max(np.abs(u))) > escape_radius:
-            failed = True
-            break
-        if norm > 1e12:
-            failed = True
-            break
+            if not accepted:
+                failed = True
+                break
+            prev_alpha = alpha
+            iterations += 1
+            new_norm = float(np.max(np.abs(r)))
+            # crawling lines (sub-0.1% progress) cannot reach tolerance within
+            # any reasonable budget; cut them off early
+            stalled = stalled + 1 if new_norm > 0.999 * norm else 0
+            norm = new_norm
+            history.append(norm)
+            if stalled >= 12:
+                failed = True
+                break
+            if escape_radius is not None and float(np.max(np.abs(u))) > escape_radius:
+                failed = True
+                break
+            if norm > 1e12:
+                failed = True
+                break
 
-    if true_fun is not None:
-        r_true = _safe_eval(true_fun, u)
-        norm = float(np.max(np.abs(r_true))) if r_true is not None else math.inf
+        if true_fun is not None:
+            r_true = _safe_eval(true_fun, u)
+            norm = float(np.max(np.abs(r_true))) if r_true is not None else math.inf
 
-    converged = not failed and norm < cfg.tol
-    jac_sign = 0
-    if converged:
-        final_jac = _safe_eval(lambda v: np.ravel(sign_jac(v)), u)
-        if final_jac is None:
-            converged = False
-        else:
-            jac_sign = linalg.det_sign(final_jac.reshape(u.size, u.size))
-            if jac_sign == 0:
+        converged = not failed and norm < cfg.tol
+        jac_sign = 0
+        if converged:
+            final_jac = _safe_eval(sign_jac, u)
+            if final_jac is None:
                 converged = False
+            else:
+                jac_sign = linalg.det_sign(final_jac)
+                if jac_sign == 0:
+                    converged = False
     return SolveReport(_freeze(u), norm, iterations, jac_sign, converged, tuple(history))
 
 
@@ -251,55 +265,43 @@ def newton(spec: ProblemSpec, g: WeightedGraph, start, cfg: SolverConfig) -> Sol
     return _newton_system(*_kernels(spec, g), as_field(g, start), cfg)
 
 
-def _deflation_terms(
-    u: np.ndarray, known: Sequence[np.ndarray], gradient: bool
-) -> tuple[float, np.ndarray | None]:
-    """Deflation multiplier prod_k(1 + 1/||u-u_k||^2), and its gradient if asked."""
-    factor = 1.0
-    grad = np.zeros_like(u) if gradient else None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for root in known:
-            diff = u - root
-            d2 = float(np.dot(diff, diff))
-            if d2 == 0.0:
-                return math.inf, grad
-            factor *= 1.0 + 1.0 / d2
-            if gradient:
-                grad += -2.0 * diff / (d2 * d2 + d2)
-    return factor, grad
-
-
 def _deflated_system(
     fun: Callable[[np.ndarray], np.ndarray],
     jac_fun: Callable[[np.ndarray], np.ndarray],
     known: Sequence[np.ndarray],
 ):
-    """Residual ``M(u) F(u)`` deflated against ``known``, and its Jacobian.
+    """Residual ``M(u) F(u)`` deflated against ``known``, ``F``'s Jacobian and a step scale.
 
-    ``djac`` reuses the ``F(u)`` of the last ``dfun`` call when given the
-    same array, as Newton does: it asks for the Jacobian at the iterate
-    whose residual it just accepted.
+    ``M = prod_k (1 + 1/d_k)`` with ``d_k = ||u - u_k||^2``.  The Newton step
+    of ``M F`` is the step ``s`` that solves ``J s = -M F`` divided by
+    ``M - g.s``, where ``g = grad log M = sum_k -2 (u - u_k) / (d_k^2 + d_k)``
+    (Farrell, Birkisson & Funke 2015), so the deflated Jacobian is never
+    formed; ``_newton_system`` takes the divisor from the third callable.
     """
     if not known:
-        return fun, jac_fun
-    last: list = [None, None]  # the last iterate dfun evaluated, and F there
+        return fun, jac_fun, None
 
     def dfun(u: np.ndarray) -> np.ndarray:
-        factor, _ = _deflation_terms(u, known, gradient=False)
-        if not math.isfinite(factor):
-            return np.full_like(u, math.inf)
-        value = fun(u)
-        last[:] = u, value
+        value = fun(u)  # the exponent guard turns wild trials away first
+        factor = 1.0
+        for root in known:
+            diff = u - root
+            d2 = float(np.dot(diff, diff))
+            if d2 == 0.0:
+                return np.full_like(u, math.inf)
+            factor *= 1.0 + 1.0 / d2
         return factor * value
 
-    def djac(u: np.ndarray) -> np.ndarray:
-        factor, grad = _deflation_terms(u, known, gradient=True)
-        if not math.isfinite(factor):
-            return np.full((u.size, u.size), math.inf)
-        value = last[1] if last[0] is u else fun(u)
-        return factor * jac_fun(u) + np.outer(value, factor * grad)
+    def step_divisor(u: np.ndarray, step: np.ndarray) -> float:
+        factor, slope = 1.0, 0.0
+        for root in known:
+            diff = u - root
+            d2 = float(np.dot(diff, diff))
+            factor *= 1.0 + 1.0 / d2
+            slope += -2.0 * float(np.dot(diff, step)) / (d2 * d2 + d2)
+        return factor - slope
 
-    return dfun, djac
+    return dfun, jac_fun, step_divisor
 
 
 def newton_deflated(
@@ -319,15 +321,8 @@ def newton_deflated(
     start = as_field(g, start)
     known = [as_field(g, k) for k in known]
     base_fun, base_jac = _kernels(spec, g)
-    dfun, djac = _deflated_system(base_fun, base_jac, known)
-    report = _newton_system(
-        dfun,
-        djac,
-        start,
-        cfg,
-        sign_jac_fun=base_jac,
-        true_fun=base_fun,
-    )
+    dfun, jac, step_scale = _deflated_system(base_fun, base_jac, known)
+    report = _newton_system(dfun, jac, start, cfg, true_fun=base_fun, step_scale=step_scale)
     if report.converged and known:
         closest = min(float(np.max(np.abs(report.solution - k))) for k in known)
         if closest <= cfg.deflation_radius:

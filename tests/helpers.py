@@ -15,6 +15,7 @@ import numpy as np
 from tzgraph import Kind, ProblemSpec, WeightedGraph, average, residual
 from tzgraph.cli import GraphDocument
 from tzgraph.errors import DisconnectedGraphError, GraphConstructionError, ParseError
+from tzgraph.solvers import _newton_system
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +415,30 @@ def deflated_jacobian_oracle(fun, jac_fun, known, u):
     """Jacobian of the deflated residual with ``F(u)`` evaluated afresh."""
     factor, grad = deflation_terms_oracle(u, known)
     return factor * jac_fun(u) + np.outer(fun(u), grad)
+
+
+def deflated_system_oracle(fun, jac_fun, known):
+    """The deflated system as it was before the step scale: ``M F`` and its full Jacobian.
+
+    Returns ``(dfun, djac, None)`` in the shape of ``solvers._deflated_system``,
+    so that ``_newton_system`` factors the deflated Jacobian at every step.
+    """
+    if not known:
+        return fun, jac_fun, None
+
+    def dfun(u):
+        factor, _ = deflation_terms_oracle(u, known)
+        if not math.isfinite(factor):
+            return np.full_like(u, math.inf)
+        return factor * fun(u)
+
+    return dfun, lambda u: deflated_jacobian_oracle(fun, jac_fun, known, u), None
+
+
+def deflated_newton_oracle(fun, jac_fun, known, start, cfg, **kwargs):
+    """Deflated Newton on the deflated Jacobian, with no step scale; signs from ``jac_fun``."""
+    dfun, djac, _ = deflated_system_oracle(fun, jac_fun, known)
+    return _newton_system(dfun, djac, start, cfg, sign_jac_fun=jac_fun, true_fun=fun, **kwargs)
 
 
 def graph_arrays_oracle(vertex_ids, mu, edges):

@@ -326,6 +326,21 @@ def test_solve_imports_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
+def test_degree_from_starts_near_the_largest_double_prints_no_warning(tmp_path):
+    # a run's first residual at u ~ 1e308 overflows A*u; the warning must
+    # not reach stderr (a subprocess, so pytest's warning filters play no part)
+    path = write(tmp_path, K2_LINES)
+    argv = ["degree", path, "--equation", "classic", "--A", "10", "--B", "1",
+            "--radius", "1e308", "--starts", "8", "--no-timestamp"]
+    src = str(Path(tzgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "tzgraph", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["result"]["degree"] == 1
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(
         capsys, ["solve", "/nonexistent/g.graph", "--equation", "classic", "--A", "1", "--B", "1"]

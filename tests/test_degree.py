@@ -1,6 +1,7 @@
 """Degree estimation: expected signed counts, scalar enumeration, stability."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from tzgraph import (
     residual,
     verify_homotopy_invariance,
 )
+from tzgraph import degree
 from tzgraph.degree import _canonical_order, _enumerate_signed_roots
+from tzgraph.model import _kernels
+from tzgraph.solvers import _newton_system
 from tzgraph.errors import SpecValidationError
 
 CFG = SolverConfig()
@@ -114,6 +118,37 @@ def test_estimate_degree_matches_the_enumerator_on_public_functions():
         assert report.signs == ordered
         assert report.degree == sum(ordered)
         assert report.starts_used == runs
+
+
+def _differential_instances():
+    """The six instances of the public-function test, plus four generalized n=2."""
+    rng = np.random.default_rng(347)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec)
+    for trial in range(6):
+        n = int(rng.integers(2, 5))
+        g = helpers.random_graph(rng, n)
+        yield makers[trial % len(makers)](rng, n), g
+    rng = np.random.default_rng(349)
+    for _ in range(4):
+        g = helpers.random_graph(rng, 2)
+        yield helpers.generalized_spec(rng, 2), g
+
+
+def test_estimate_degree_matches_the_enumerator_on_the_deflated_jacobian(monkeypatch):
+    # the enumerator before the step scale: every run factors the deflated
+    # Jacobian and takes its sign from the undeflated one
+    for spec, g in _differential_instances():
+        report = estimate_degree(spec, g, CFG, n_starts=16)
+        fun, jac = _kernels(spec, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(degree, "_deflated_system", helpers.deflated_system_oracle)
+            patch.setattr(degree, "_newton_system", partial(_newton_system, sign_jac_fun=jac))
+            roots, signs, runs = _enumerate_signed_roots(fun, jac, g.n, report.radius, CFG, 16)
+        solutions, ordered = _canonical_order(roots, signs)
+        assert (report.degree, report.signs, report.starts_used) == (sum(ordered), ordered, runs)
+        assert len(report.solutions) == len(solutions)
+        for u, v in zip(report.solutions, solutions):
+            assert np.max(np.abs(u - v)) <= 1e-12
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])

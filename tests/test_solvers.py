@@ -25,7 +25,8 @@ from tzgraph import (
     newton_deflated,
     residual,
 )
-from tzgraph.linalg import halton_ball
+from tzgraph import linalg
+from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
 from tzgraph.errors import SpecValidationError
 from tzgraph.solvers import _deflated_system, _mean_constant_root, _newton_system
@@ -158,38 +159,114 @@ def _deflation_case():
     return rng, g, spec, known
 
 
-def test_deflated_jacobian_matches_the_old_terms_bitwise():
-    rng, g, spec, known = _deflation_case()
-    fun, jac = _kernels(spec, g)
-    dfun, djac = _deflated_system(fun, jac, known)
-    for _ in range(20):
-        u = rng.normal(0.0, 0.5, 4)
-        expected = helpers.deflated_jacobian_oracle(fun, jac, known, u).tobytes()
-        assert djac(u).tobytes() == expected  # no dfun call at u yet: F is evaluated
-        factor, _ = helpers.deflation_terms_oracle(u, known)
-        assert dfun(u).tobytes() == (factor * fun(u)).tobytes()
-        assert djac(u).tobytes() == expected  # F reused from that dfun call
-        assert djac(u.copy()).tobytes() == expected  # another array: F evaluated again
+def test_scaled_step_is_the_newton_step_of_the_deflated_system():
+    rng = np.random.default_rng(251)
+    makers = (helpers.classic_spec, helpers.generalized_spec)
+    for trial in range(16):
+        n = int(rng.integers(2, 6))
+        g = helpers.random_graph(rng, n)
+        fun, jac = _kernels(makers[trial % 2](rng, n), g)
+        known = [rng.normal(0.0, 0.5, n) for _ in range(1 + trial % 4)]
+        dfun, base_jac, step_scale = _deflated_system(fun, jac, known)
+        assert base_jac is jac
+        points = [rng.normal(0.0, 0.5, n) for _ in range(4)]
+        # close to a known root the multiplier is about 1e6 and its gradient large
+        points += [k + 1e-3 * rng.uniform(-1.0, 1.0, n) for k in known]
+        for u in points:
+            r = dfun(u)
+            step = np.linalg.solve(jac(u), -r)
+            step = step / step_scale(u, step)
+            expected = np.linalg.solve(helpers.deflated_jacobian_oracle(fun, jac, known, u), -r)
+            assert np.max(np.abs(step - expected)) <= 1e-10 * np.max(np.abs(expected))
+            factor, _ = helpers.deflation_terms_oracle(u, known)
+            assert r.tobytes() == (factor * fun(u)).tobytes()
 
 
-def test_deflated_newton_evaluates_the_residual_once_per_deflated_residual():
+def test_deflated_newton_evaluates_the_residual_once_per_deflated_residual(monkeypatch):
     _, g, spec, known = _deflation_case()
     fun, jac = _kernels(spec, g)
     calls = {"base": 0, "deflated": 0}
+    jacobians, factored = [], []
 
     def base(u):
         calls["base"] += 1
         return fun(u)
 
-    dfun, djac = _deflated_system(base, jac, known)
+    def counted_jac(u):
+        jacobians.append(u.copy())
+        return jac(u)
+
+    def factor(a, *args):
+        factored.append(a.copy())
+        return lu_factor(a, *args)
+
+    dfun, _, step_scale = _deflated_system(base, counted_jac, known)
 
     def deflated(u):
         calls["deflated"] += 1
         return dfun(u)
 
-    report = _newton_system(deflated, djac, np.full(4, 0.4), CFG)
-    assert report.iterations >= 3
+    monkeypatch.setattr(linalg, "lu_factor", factor)
+    report = _newton_system(
+        deflated, counted_jac, np.full(4, 0.2), CFG, true_fun=fun, step_scale=step_scale
+    )
+    assert report.converged and report.iterations >= 3
     assert calls["base"] == calls["deflated"]
+    # one Jacobian and one factorization per iteration, plus the final sign
+    assert len(jacobians) == len(factored) == report.iterations + 1
+    for u, a in zip(jacobians, factored):
+        assert a.tobytes() == jac(u).tobytes()
+
+
+def test_a_zero_or_infinite_step_divisor_ends_the_run_as_singular():
+    # F(u) = J u - c around the deflated point 0: at u = 0.5 the multiplier
+    # is 5 and, with c = 0.1875 and J = 1, M - g.s is exactly 5 - 5; with
+    # J = 1e-308 the step overflows and the divisor is infinite
+    known = [np.zeros(1)]
+    for slope, c in ((1.0, 0.1875), (1e-308, -1.0)):
+        fun = lambda u, slope=slope, c=c: slope * u - c
+        jac = lambda u, slope=slope: np.full((1, 1), slope)
+        dfun, _, step_scale = _deflated_system(fun, jac, known)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = _newton_system(
+                dfun, jac, np.array([0.5]), CFG, true_fun=fun, step_scale=step_scale
+            )
+        assert (report.converged, report.jac_sign, report.iterations) == (False, 0, 0)
+
+
+def test_newton_deflated_matches_the_deflated_jacobian_oracle():
+    rng = np.random.default_rng(257)
+    n, compared = 3, 0
+    for maker in (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec):
+        g = helpers.random_graph(rng, n)
+        spec = maker(rng, n)
+        fun, jac = _kernels(spec, g)
+        known = [np.zeros(n)] if maker is not helpers.classic_spec else [np.full(n, 0.3)]
+        for start in halton_ball(n, 8, 1.0, seed=1):
+            report = newton_deflated(spec, g, known, start, CFG)
+            oracle = helpers.deflated_newton_oracle(fun, jac, known, start, CFG)
+            assert report.converged == oracle.converged
+            assert report.jac_sign == oracle.jac_sign
+            if report.converged:
+                assert np.max(np.abs(report.solution - oracle.solution)) <= 1e-12
+                compared += 1
+    assert compared > 0
+
+
+@pytest.mark.parametrize("deflate", [False, True])
+def test_newton_from_a_start_near_the_largest_double_warns_nothing(deflate):
+    g = helpers.k2()
+    spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0, A=10.0)
+    start = np.full(2, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if deflate:
+            report = newton_deflated(spec, g, [np.zeros(2)], start, CFG)
+        else:
+            report = newton(spec, g, start, CFG)
+    assert not report.converged
+    assert report.jac_sign == 0
 
 
 def test_newton_validates_its_start_once(monkeypatch):
