@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, count
 from pathlib import Path
@@ -82,9 +82,11 @@ class GraphDocument:
 
     vertices: list[tuple[str, float, float, float]]
     edges: list[tuple[str, str, float]]
+    checked_edges: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_graph(self) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
-        g = WeightedGraph([v[0] for v in self.vertices], [v[1] for v in self.vertices], self.edges)
+        labels, mu = [v[0] for v in self.vertices], [v[1] for v in self.vertices]
+        g = WeightedGraph(labels, mu, self.edges, _checked_edges=self.checked_edges)
         h1, h2 = (np.array([v[k] for v in self.vertices]) for k in (2, 3))
         return g, h1, h2
 
@@ -158,7 +160,7 @@ def parse_graph(path: str | Path) -> GraphDocument:
     except ValueError:  # an unparsable weight fails the weight check
         weights = [_float_or_nan(token) for token in weight_tokens]
     index = {label: i for i, label in enumerate(seen)}
-    fault = _index_edges(index, ends_a, ends_b, weights)[3]
+    tails, heads, weight, fault = _index_edges(index, ends_a, ends_b, weights)
     if fault is not None:
         k, check = fault
         lineno, a, b = list(compress(count(1), is_edge))[k], ends_a[k], ends_b[k]
@@ -170,7 +172,7 @@ def parse_graph(path: str | Path) -> GraphDocument:
             "duplicate": f"duplicate edge {a!r}-{b!r}",
         }[check], lineno)
     edges = list(zip(ends_a, ends_b, weights))
-    return GraphDocument(vertices, edges)
+    return GraphDocument(vertices, edges, (tails, heads, weight))
 
 
 def format_graph(doc: GraphDocument) -> str:

@@ -5,9 +5,12 @@ solution equals the sum of Jacobian determinant signs over the
 (nondegenerate) zeros inside it.  On multi-vertex graphs the zeros are
 enumerated heuristically: deflated Newton runs from low-discrepancy start
 points, each certified root repels subsequent runs, and the signed count
-is reported together with an honesty marker.  On a single vertex the
-Laplacian vanishes, the equation is scalar, and sign-change bisection over
-the a priori interval enumerates the zeros exhaustively.
+is reported together with an honesty marker.  A block of starts runs in
+lockstep (``solvers._newton_block``), each with the bits of its own run; a
+start whose run ends at a zero is run again alone to certify the root, and
+the starts after it are screened again with that root known.  On a single
+vertex the Laplacian vanishes, the equation is scalar, and sign-change
+bisection over the a priori interval enumerates the zeros exhaustively.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .model import (
     default_epsilon,
     jacobian,
 )
-from .solvers import SolverConfig, _newton_system, _deflated_system
+from .solvers import SolverConfig, _deflated_system, _newton_block, _newton_system
 
 __all__ = [
     "Confidence",
@@ -94,9 +97,9 @@ _MAX_PROBED_ROOTS = 64
 
 
 def _enumerate_signed_roots(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac_fun: Callable[[np.ndarray], np.ndarray],
-    dim: int,
+    spec: ProblemSpec,
+    g: WeightedGraph,
+    hp: HomotopyParams | None,
     radius: float,
     cfg: SolverConfig,
     n_starts: int,
@@ -108,8 +111,12 @@ def _enumerate_signed_roots(
     constant offsets, plus a ladder of offsets along the near-singular
     eigendirection of the root's Jacobian, which is where an annihilation
     partner hides near a fold.  Returns the roots, their determinant
-    signs, and the number of Newton runs spent.
+    signs, and the number of Newton runs spent.  Wave one and the probes of
+    each root are each screened as one block (``solvers._newton_block``).
     """
+    fun, jac_fun = _kernels(spec, g, hp)
+    block_fun, block_jac = _kernels(spec, g, hp, block=True)
+    dim = g.n
     starts = [np.zeros(dim)]
     if n_starts > 1:
         points = linalg.halton_ball(dim, n_starts - 1, radius, cfg.seed)
@@ -121,10 +128,9 @@ def _enumerate_signed_roots(
     roots: list[np.ndarray] = []
     signs: list[int] = []
     runs = 0
+    probe_queue: list[np.ndarray] = []
 
-    def try_start(start: np.ndarray) -> np.ndarray | None:
-        nonlocal runs
-        runs += 1
+    def certify(start: np.ndarray) -> None:
         dfun, jac, step_scale = _deflated_system(fun, jac_fun, roots)
         report = _newton_system(
             dfun,
@@ -136,19 +142,19 @@ def _enumerate_signed_roots(
             step_scale=step_scale,
         )
         if report.residual_norm >= cfg.tol:
-            return None
+            return
         u = np.array(report.solution)
-        if float(np.max(np.abs(u))) >= radius:
-            return None
+        if float(np.maximum.reduce(np.abs(u))) >= radius:
+            return
         if roots:
-            closest = min(float(np.max(np.abs(u - r))) for r in roots)
+            closest = min(float(np.maximum.reduce(np.abs(u - r))) for r in roots)
             if closest <= DEDUP_RADIUS:
                 if closest > cfg.deflation_radius:
                     warnings.warn(
                         f"two roots within {closest:.2e} sup-distance merged",
-                        stacklevel=3,
+                        stacklevel=4,
                     )
-                return None
+                return
         sign = report.jac_sign
         if sign == 0:
             sign = linalg.det_sign(jac_fun(u))
@@ -159,13 +165,19 @@ def _enumerate_signed_roots(
             )
         roots.append(u)
         signs.append(sign)
-        return u
+        probe_queue.append(u)
 
-    probe_queue: list[np.ndarray] = []
-    for start in starts:
-        found = try_start(start)
-        if found is not None:
-            probe_queue.append(found)
+    def run_block(block: list[np.ndarray]) -> None:
+        nonlocal runs
+        pending = np.array(block)
+        while len(pending):
+            passed = _newton_block(block_fun, block_jac, pending, run_cfg, roots, escape)[2]
+            runs += len(passed)
+            if passed[-1]:
+                certify(pending[len(passed) - 1])
+            pending = pending[len(passed) :]
+
+    run_block(starts)
 
     offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
     for x in range(dim):
@@ -174,6 +186,7 @@ def _enumerate_signed_roots(
         offsets.extend((bump, -bump))
     unique = {tuple(o) for o in offsets}
     offsets = [np.array(o) for o in sorted(unique)]
+    distances = [4.0 * DEDUP_RADIUS] + [s * radius for s in _FOLD_RELATIVE_SCALES]
 
     def fold_direction(center: np.ndarray) -> np.ndarray | None:
         try:
@@ -182,27 +195,18 @@ def _enumerate_signed_roots(
         except (ExponentOverflowError, np.linalg.LinAlgError):
             return None
         vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
-        peak = float(np.max(np.abs(vector)))
+        peak = float(np.maximum.reduce(np.abs(vector)))
         return vector / peak if peak > 0.0 else None
 
     probed = 0
     while probe_queue and probed < _MAX_PROBED_ROOTS:
         center = probe_queue.pop(0)
         probed += 1
-        for scale in _PROBE_SCALES:
-            for offset in offsets:
-                found = try_start(center + scale * radius * offset)
-                if found is not None:
-                    probe_queue.append(found)
+        probes = [center + scale * radius * offset for scale in _PROBE_SCALES for offset in offsets]
         direction = fold_direction(center)
-        if direction is None:
-            continue
-        distances = [4.0 * DEDUP_RADIUS] + [s * radius for s in _FOLD_RELATIVE_SCALES]
-        for distance in distances:
-            for orientation in (1.0, -1.0):
-                found = try_start(center + orientation * distance * direction)
-                if found is not None:
-                    probe_queue.append(found)
+        if direction is not None:
+            probes += [center + side * d * direction for d in distances for side in (1.0, -1.0)]
+        run_block(probes)
     return roots, signs, runs
 
 
@@ -245,9 +249,7 @@ def estimate_degree(
             raise BoundsInapplicableError(
                 f"no a priori ball available ({exc}); supply a radius explicitly"
             ) from exc
-    roots, signs, runs = _enumerate_signed_roots(
-        *_kernels(spec, g), g.n, float(radius), cfg, n_starts
-    )
+    roots, signs, runs = _enumerate_signed_roots(spec, g, None, float(radius), cfg, n_starts)
     ordered_roots, ordered_signs = _canonical_order(roots, signs)
     return DegreeReport(
         ordered_roots,
@@ -378,8 +380,6 @@ def verify_homotopy_invariance(
         if t == 0.0:
             degrees.append(0)
             continue
-        _, signs, _ = _enumerate_signed_roots(
-            *_kernels(spec, g, HomotopyParams(t)), g.n, ball, cfg, n_starts
-        )
+        _, signs, _ = _enumerate_signed_roots(spec, g, HomotopyParams(t), ball, cfg, n_starts)
         degrees.append(int(sum(signs)))
     return len(set(degrees)) == 1

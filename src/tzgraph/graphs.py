@@ -70,13 +70,13 @@ class WeightedGraph:
         vertex_ids: Sequence[Hashable],
         mu: Sequence[float],
         edges: Iterable[tuple[Hashable, Hashable, float]],
+        _checked_edges: tuple | None = None,
     ):
         ids = tuple(vertex_ids)
         if not ids:
             raise GraphConstructionError("graph needs at least one vertex")
         if len(set(ids)) != len(ids):
             raise GraphConstructionError("duplicate vertex labels")
-        index = {label: i for i, label in enumerate(ids)}
 
         mu_arr = np.array(mu, dtype=float)
         if mu_arr.shape != (len(ids),):
@@ -84,16 +84,20 @@ class WeightedGraph:
         if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
             raise GraphConstructionError("vertex measure must be positive and finite")
 
-        ends_a, ends_b, weights = tuple(zip(*edges)) or ((), (), ())
-        tails, heads, weight, fault = _index_edges(index, ends_a, ends_b, weights)
-        if fault is not None:
-            a, b = ends_a[fault[0]], ends_b[fault[0]]
-            raise GraphConstructionError({
-                "endpoint": f"edge references unknown vertex {(a if a not in index else b)!r}",
-                "self-loop": f"self-loop at vertex {a!r}",
-                "duplicate": f"duplicate edge {a!r}-{b!r}",
-                "weight": f"edge {a!r}-{b!r} has nonpositive weight",
-            }[fault[1]])
+        # parse_graph passes the (tails, heads, weights) it found no fault in
+        if _checked_edges is None:
+            index = {label: i for i, label in enumerate(ids)}
+            ends_a, ends_b, weights = tuple(zip(*edges)) or ((), (), ())
+            *_checked_edges, fault = _index_edges(index, ends_a, ends_b, weights)
+            if fault is not None:
+                a, b = ends_a[fault[0]], ends_b[fault[0]]
+                raise GraphConstructionError({
+                    "endpoint": f"edge references unknown vertex {(a if a not in index else b)!r}",
+                    "self-loop": f"self-loop at vertex {a!r}",
+                    "duplicate": f"duplicate edge {a!r}-{b!r}",
+                    "weight": f"edge {a!r}-{b!r} has nonpositive weight",
+                }[fault[1]])
+        tails, heads, weight = _checked_edges
 
         self.vertex_ids = ids
         self.mu = mu_arr

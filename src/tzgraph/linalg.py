@@ -36,6 +36,21 @@ def lu_factor(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
     return LUFactors(inverse, not kappa * pivot_rtol < 1.0)
 
 
+def inverse_block(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a ``(k, n, n)`` stack, with ``lu_factor``'s bits, and which are singular."""
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack; its inverse is nan
+        inverse = np.full_like(a, np.nan)
+        for i, mat in enumerate(a):
+            try:
+                inverse[i] = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                pass
+    kappa = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
+    return inverse, ~(kappa * pivot_rtol < 1.0)
+
+
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the factorization of A."""
     if factors.singular:

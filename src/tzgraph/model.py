@@ -26,7 +26,8 @@ The four residual and Jacobian functions validate their inputs, then run
 one kernel with the deformation as a parameter (``_kernels``); ``energy``
 does the same with ``_energy_kernel``.  Solvers validate once per entry
 point and iterate on the kernels' unchecked callables, which keep only the
-exponent guard.
+exponent guard; ``_kernels(..., block=True)`` evaluates a block of fields at
+once, with the guard applied per field.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarra
 
 
 def _kernels(
-    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None
+    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None, block: bool = False
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Unchecked residual and Jacobian callables of the deformation ``hp``.
 
@@ -182,51 +183,69 @@ def _kernels(
     coefficients bitwise unchanged) for the classic kind, t = 1 for the
     generalized kind.  The spec, the graph and the deformation are checked
     once, here; the callables trust their argument to be a finite field on
-    ``g`` and keep only the exponent guard.
+    ``g`` and keep only the exponent guard.  With ``block``, they take a ``(k, n)`` block
+    of fields, each row with the bits of one field; a row the guard rejects is infinite.
     """
     _check_spec_alignment(spec, g)
     if hp is not None:
         validate_homotopy(spec, hp)
-    A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
+    A, B, h1, h2, n = spec.A, spec.B, spec.h1, spec.h2, g.n
     neg_lap = g.neg_laplacian()
-    diagonal = slice(None, None, g.n + 1)
     if spec.kind is Kind.CLASSIC:
         t, eps = (0.0, 0.0) if hp is None else (hp.t, hp.epsilon)
         c1 = t * eps + (1.0 - t) * h1
         c2 = -t * eps + (1.0 - t) * h2
-        a_c1, b_c2 = A * c1, B * c2
+        a_c1, b_c2, cap = A * c1, B * c2, EXP_CAP_CLASSIC
 
-        def pointwise(u):
-            au, bu = _exponents(A, B, EXP_CAP_CLASSIC, u)
+        def pointwise(au, bu):
             return c1 * np.exp(au) + c2 * np.exp(bu)
 
-        def slope(u):
-            au, bu = _exponents(A, B, EXP_CAP_CLASSIC, u)
+        def slope(au, bu):
             return a_c1 * np.exp(au) - b_c2 * np.exp(bu)
 
     else:
         t = 1.0 if hp is None else hp.t
-        shift, h1_a, h2_b = 1.0 - t, h1 * A, h2 * B
+        shift, h1_a, h2_b, cap = 1.0 - t, h1 * A, h2 * B, EXP_CAP_GENERALIZED
 
-        def pointwise(u):
-            au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
+        def pointwise(au, bu):
             return h1 * np.exp(au) * (np.expm1(au) + shift) + (
                 h2 * np.exp(bu) * (np.expm1(bu) + shift)
             )
 
-        def slope(u):
-            au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
+        def slope(au, bu):
             e_up, e_dn = np.exp(au), np.exp(bu)
             return h1_a * e_up * (2.0 * e_up - t) + h2_b * e_dn * (t - 2.0 * e_dn)
 
+    if block:
+        def exponents(u):
+            au, bu = A * u, -B * u
+            wild = (np.maximum.reduce(au, axis=1) > cap) | (np.maximum.reduce(bu, axis=1) > cap)
+            au[wild] = bu[wild] = 0.0  # evaluated without overflow, then marked
+            return au, bu, wild
+
+        def block_fun(u: np.ndarray) -> np.ndarray:
+            au, bu, wild = exponents(u)
+            value = (neg_lap @ u[:, :, None])[:, :, 0] + pointwise(au, bu)
+            value[wild] = math.inf
+            return value
+
+        def block_jac(u: np.ndarray) -> np.ndarray:
+            au, bu, wild = exponents(u)
+            mats = np.repeat(neg_lap[None], len(u), axis=0)
+            mats.reshape(len(u), n * n)[:, :: n + 1] += slope(au, bu)
+            mats[wild] = math.inf
+            return mats
+
+        return block_fun, block_jac
+
     def fun(u: np.ndarray) -> np.ndarray:
-        nonlinear = pointwise(u)
+        nonlinear = pointwise(*_exponents(A, B, cap, u))
         return neg_lap @ u + nonlinear
 
     def jac(u: np.ndarray) -> np.ndarray:
-        diag = slope(u)
+        diag = slope(*_exponents(A, B, cap, u))
         mat = neg_lap.copy()
-        mat.flat[diagonal] += diag
+        mat.flat[:: n + 1] += diag
         return mat
 
     return fun, jac

@@ -151,7 +151,6 @@ def _newton_system(
     start: np.ndarray,
     cfg: SolverConfig,
     *,
-    sign_jac_fun: Callable[[np.ndarray], np.ndarray] | None = None,
     true_fun: Callable[[np.ndarray], np.ndarray] | None = None,
     escape_radius: float | None = None,
     step_scale: Callable[[np.ndarray, np.ndarray], float] | None = None,
@@ -164,10 +163,8 @@ def _newton_system(
     the Jacobian of ``F``: the step solves ``J s = -M F`` and is divided by
     ``step_scale(u, s)``, which makes it the Newton step of ``M F``; a divisor
     that is zero or not finite aborts like a singular matrix.
-    ``true_fun`` certifies a deflated solve against the undeflated residual;
-    ``sign_jac_fun`` takes the determinant sign when ``jac_fun`` is not ``F``'s.
+    ``true_fun`` certifies a deflated solve against the undeflated residual.
     """
-    sign_jac = sign_jac_fun or jac_fun
     u = np.array(start, dtype=float)
     # overflow and inf * 0 in a wild trial only make its merit inf or nan,
     # which fails the Armijo test
@@ -175,7 +172,7 @@ def _newton_system(
         r = _safe_eval(fun, u)
         if r is None:
             return SolveReport(_freeze(u), math.inf, 0, 0, False, (math.inf,))
-        norm = float(np.max(np.abs(r)))
+        norm = float(np.maximum.reduce(np.abs(r)))
         history = [norm]
         iterations = 0
         failed = False
@@ -227,7 +224,7 @@ def _newton_system(
                 break
             prev_alpha = alpha
             iterations += 1
-            new_norm = float(np.max(np.abs(r)))
+            new_norm = float(np.maximum.reduce(np.abs(r)))
             # crawling lines (sub-0.1% progress) cannot reach tolerance within
             # any reasonable budget; cut them off early
             stalled = stalled + 1 if new_norm > 0.999 * norm else 0
@@ -236,7 +233,7 @@ def _newton_system(
             if stalled >= 12:
                 failed = True
                 break
-            if escape_radius is not None and float(np.max(np.abs(u))) > escape_radius:
+            if escape_radius is not None and float(np.maximum.reduce(np.abs(u))) > escape_radius:
                 failed = True
                 break
             if norm > 1e12:
@@ -245,12 +242,12 @@ def _newton_system(
 
         if true_fun is not None:
             r_true = _safe_eval(true_fun, u)
-            norm = float(np.max(np.abs(r_true))) if r_true is not None else math.inf
+            norm = float(np.maximum.reduce(np.abs(r_true))) if r_true is not None else math.inf
 
         converged = not failed and norm < cfg.tol
         jac_sign = 0
         if converged:
-            final_jac = _safe_eval(sign_jac, u)
+            final_jac = _safe_eval(jac_fun, u)
             if final_jac is None:
                 converged = False
             else:
@@ -304,6 +301,118 @@ def _deflated_system(
     return dfun, jac_fun, step_divisor
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis vectors, each with the bits of ``np.dot``."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _newton_block(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac_fun: Callable[[np.ndarray], np.ndarray],
+    starts: np.ndarray,
+    cfg: SolverConfig,
+    known: Sequence[np.ndarray],
+    escape_radius: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep screen of a ``(k, n)`` block of starts for deflated Newton, on block kernels.
+
+    Row ``i`` makes, bit for bit, the run ``_newton_system`` makes from ``starts[i]`` on
+    ``_deflated_system(..., known)`` with ``true_fun`` and ``escape_radius``.  A row passes if
+    its run ends with the undeflated residual below ``cfg.tol``.  The root of the first row
+    that passes would deflate the rows after it, so they stop: returns the final iterates,
+    iteration counts and pass flags of the rows up to that one, or of all rows.
+    """
+    u = np.array(starts, dtype=float)
+    k, n = u.shape
+    roots = np.reshape(known, (len(known), n))
+    iterations, stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    prev_alpha, passed = np.ones(k), np.zeros(k, dtype=bool)
+
+    def deflation(x):
+        """Per row: the multiplier (infinite where ``d_k = 0``), the ``x - u_k`` and the ``d_k``."""
+        diff = x[:, None, :] - roots
+        d2 = _row_dots(diff, diff)
+        factor = np.ones(len(x))
+        for d2_root in d2.T:
+            factor *= 1.0 + 1.0 / d2_root
+        return factor, diff, d2
+
+    def deflated(x):
+        value = fun(x)
+        return deflation(x)[0][:, None] * value if len(roots) else value
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = deflated(u)
+        norm = np.maximum.reduce(np.abs(r), axis=1)
+        live = np.isfinite(r).all(axis=1)
+        ending = live & (norm < cfg.tol)  # leaving the loop, other than by an early return
+        while True:
+            live &= ~ending
+            if ending.any():
+                done = np.flatnonzero(ending)
+                passed[done] = np.maximum.reduce(np.abs(fun(u[done])), axis=1) < cfg.tol
+                ending[:] = False
+                if passed.any():
+                    live[np.argmax(passed) + 1 :] = False
+            rows = np.flatnonzero(live)
+            if not rows.size:
+                break
+            live[rows] = False  # until the row takes a step
+            jac = jac_fun(u[rows])
+            bad = ~np.isfinite(jac).all(axis=(1, 2))
+            ending[rows[bad]] = True
+            inverse, singular = linalg.inverse_block(jac[~bad])
+            rows = rows[~bad][~singular]
+            step = (inverse[~singular] @ -r[rows][:, :, None])[:, :, 0]
+            factor, diff, d2 = deflation(u[rows])
+            slope = np.zeros(rows.size)
+            for dots, d2_root in zip(_row_dots(diff, step[:, None, :]).T, d2.T):
+                slope += -2.0 * dots / (d2_root * d2_root + d2_root)
+            divisor = factor - slope
+            fine = (divisor != 0.0) & np.isfinite(divisor)
+            rows, step = rows[fine], step[fine] / divisor[fine, None]
+            scale = np.ldexp(1.0, -np.frexp(norm[rows])[1])
+            scaled = scale[:, None] * r[rows]
+            phi0 = _row_dots(scaled, scaled)
+            # Armijo backtracking: each round tries the next ``width`` step
+            # lengths of a row at once, and the row takes the first that passes
+            alpha, taken = np.ones(rows.size), np.zeros(rows.size)
+            search, width = np.arange(rows.size), 1
+            while search.size:
+                lengths = np.empty((search.size, width))
+                a, twice = alpha[search], 2.0 * prev_alpha[rows[search]]
+                for j in range(width):  # 1 and shrink, then on from near the last accepted length
+                    lengths[:, j] = a
+                    a = np.where((a == cfg.shrink) & (twice < a * cfg.shrink), twice, a * cfg.shrink)
+                alpha[search] = a
+                at, lengths = np.repeat(search, width), lengths.ravel()
+                trial = u[rows[at]] + lengths[:, None] * step[at]
+                r_trial = deflated(trial)
+                scaled = scale[at, None] * r_trial
+                armijo = (1.0 - 2.0 * _ARMIJO * lengths) * phi0[at]
+                ok = np.flatnonzero((_row_dots(scaled, scaled) <= armijo) & (lengths >= cfg.min_step))
+                if width > 1:  # the first length that passes, per row
+                    ok = ok[np.unique(at[ok], return_index=True)[1]]
+                took = rows[at[ok]]
+                u[took], r[took], taken[at[ok]] = trial[ok], r_trial[ok], lengths[ok]
+                search = search[(taken[search] == 0.0) & (alpha[search] >= cfg.min_step)]
+                width *= 2
+            ending[rows[taken == 0.0]] = True
+            took = rows[taken > 0.0]
+            prev_alpha[took] = taken[taken > 0.0]
+            iterations[took] += 1
+            new_norm = np.maximum.reduce(np.abs(r[took]), axis=1)
+            stalled[took] = np.where(new_norm > 0.999 * norm[took], stalled[took] + 1, 0)
+            norm[took] = new_norm
+            # crawling, escaped, blown up, converged or out of budget
+            ends = (stalled[took] >= 12) | (np.maximum.reduce(np.abs(u[took]), axis=1) > escape_radius)
+            ends |= (new_norm > 1e12) | (new_norm < cfg.tol) | (iterations[took] >= cfg.max_iter)
+            ending[took[ends]] = True
+            live[took[~ends]] = True
+    end = int(np.argmax(passed)) + 1 if passed.any() else k
+    return u[:end], iterations[:end], passed[:end]
+
+
 def newton_deflated(
     spec: ProblemSpec,
     g: WeightedGraph,
@@ -324,7 +433,7 @@ def newton_deflated(
     dfun, jac, step_scale = _deflated_system(base_fun, base_jac, known)
     report = _newton_system(dfun, jac, start, cfg, true_fun=base_fun, step_scale=step_scale)
     if report.converged and known:
-        closest = min(float(np.max(np.abs(report.solution - k))) for k in known)
+        closest = min(float(np.maximum.reduce(np.abs(report.solution - k))) for k in known)
         if closest <= cfg.deflation_radius:
             report = replace(report, converged=False, jac_sign=0)
     return report
@@ -565,12 +674,12 @@ def minimize_box(
     noise_floor = 1e-14
 
     while steps < max_steps:
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = float(np.maximum.reduce(np.abs(grad)))
         if grad_norm < cfg.tol:
             status = "converged"
             break
         projected_move = u - np.clip(u - grad, lo, hi)
-        if float(np.max(np.abs(projected_move))) < cfg.tol:
+        if float(np.maximum.reduce(np.abs(projected_move))) < cfg.tol:
             raise InteriorViolationError(
                 "projected-stationary point has an active box constraint"
             )
@@ -609,14 +718,14 @@ def minimize_box(
             _trace.append(u.copy())
         steps += 1
 
-    grad_norm = float(np.max(np.abs(grad)))
+    grad_norm = float(np.maximum.reduce(np.abs(grad)))
     polish_iterations = 0
     if status in ("stalled", "budget") and grad_norm <= 1e-5 and np.all(u > lo) and np.all(u < hi):
         polish = _newton_system(fun, jac, u, cfg)
         if polish.converged and np.all(polish.solution > lo) and np.all(polish.solution < hi):
             u = np.array(polish.solution)
             grad = fun(u)
-            grad_norm = float(np.max(np.abs(grad)))
+            grad_norm = float(np.maximum.reduce(np.abs(grad)))
             j_val = energy_of(u)
             energies.append(j_val)
             polish_iterations = polish.iterations
@@ -677,7 +786,7 @@ def find_two_solutions(
         if not (np.all(second.solution > lo) and np.all(second.solution < hi)):
             raise MultiplicityFailureError("minimizer escaped the barrier box")
     else:
-        fun, jac = _kernels(spec, g)
+        fun, _ = _kernels(spec, g)
         crossings = _negative_crossings(spec, g)
         starts = [crossings, np.full(g.n, _mean_constant_root(fun, g, lo, hi))]
         starts += [
@@ -703,7 +812,7 @@ def find_two_solutions(
             from .degree import _enumerate_signed_roots
 
             roots, _, _ = _enumerate_signed_roots(
-                fun, jac, g.n, bounds_generalized(spec, g).radius, cfg, n_starts=48
+                spec, g, None, bounds_generalized(spec, g).radius, cfg, n_starts=48
             )
             for root in roots:
                 if np.all(root < 0.0):
@@ -714,7 +823,7 @@ def find_two_solutions(
         if second is None:
             raise SolveFailedError("no strictly negative second solution found")
 
-    separation = float(np.max(np.abs(second.solution - zero_report.solution)))
+    separation = float(np.maximum.reduce(np.abs(second.solution - zero_report.solution)))
     if separation <= cfg.deflation_radius:
         raise MultiplicityFailureError(
             f"second solution coincides with zero within {cfg.deflation_radius:.3g}"

@@ -8,14 +8,23 @@ tests are computed along a second, independent route.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
-from tzgraph import Kind, ProblemSpec, WeightedGraph, average, residual
+from tzgraph import Kind, ProblemSpec, WeightedGraph, average, degree, linalg, residual
 from tzgraph.cli import GraphDocument
-from tzgraph.errors import DisconnectedGraphError, GraphConstructionError, ParseError
-from tzgraph.solvers import _newton_system
+from tzgraph.errors import (
+    DegenerateRootError,
+    DisconnectedGraphError,
+    ExponentOverflowError,
+    GraphConstructionError,
+    ParseError,
+)
+from tzgraph.solvers import _ARMIJO, SolveReport, SolverConfig, _deflated_system, _freeze, _safe_eval
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +447,240 @@ def deflated_system_oracle(fun, jac_fun, known):
 def deflated_newton_oracle(fun, jac_fun, known, start, cfg, **kwargs):
     """Deflated Newton on the deflated Jacobian, with no step scale; signs from ``jac_fun``."""
     dfun, djac, _ = deflated_system_oracle(fun, jac_fun, known)
-    return _newton_system(dfun, djac, start, cfg, sign_jac_fun=jac_fun, true_fun=fun, **kwargs)
+    return newton_system_oracle(dfun, djac, start, cfg, sign_jac_fun=jac_fun, true_fun=fun, **kwargs)
+
+
+def newton_system_oracle(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac_fun: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    cfg: SolverConfig,
+    *,
+    sign_jac_fun: Callable[[np.ndarray], np.ndarray] | None = None,
+    true_fun: Callable[[np.ndarray], np.ndarray] | None = None,
+    escape_radius: float | None = None,
+    step_scale: Callable[[np.ndarray, np.ndarray], float] | None = None,
+) -> SolveReport:
+    """``solvers._newton_system`` as it was while it took ``sign_jac_fun``.
+
+    Armijo backtracking on the squared 2-norm of the residual times a power of two;
+    a step matrix with condition number >= 1/PIVOT_RTOL aborts with ``jac_sign=0``.
+    With ``step_scale``, ``fun`` is a deflated residual ``M F`` and ``jac_fun``
+    the Jacobian of ``F``: the step solves ``J s = -M F`` and is divided by
+    ``step_scale(u, s)``, which makes it the Newton step of ``M F``; a divisor
+    that is zero or not finite aborts like a singular matrix.
+    ``true_fun`` certifies a deflated solve against the undeflated residual;
+    ``sign_jac_fun`` takes the determinant sign when ``jac_fun`` is not ``F``'s.
+    """
+    sign_jac = sign_jac_fun or jac_fun
+    u = np.array(start, dtype=float)
+    # overflow and inf * 0 in a wild trial only make its merit inf or nan,
+    # which fails the Armijo test
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _safe_eval(fun, u)
+        if r is None:
+            return SolveReport(_freeze(u), math.inf, 0, 0, False, (math.inf,))
+        norm = float(np.max(np.abs(r)))
+        history = [norm]
+        iterations = 0
+        failed = False
+        prev_alpha = 1.0
+        stalled = 0
+
+        while norm >= cfg.tol:
+            if iterations >= cfg.max_iter:
+                failed = True
+                break
+            jac_value = _safe_eval(jac_fun, u)
+            if jac_value is None:
+                failed = True
+                break
+            factors = linalg.lu_factor(jac_value)
+            if factors.singular:
+                return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
+            step = linalg.lu_solve(factors, -r)
+            if step_scale is not None:
+                divisor = step_scale(u, step)
+                if divisor == 0.0 or not math.isfinite(divisor):
+                    return SolveReport(_freeze(u), norm, iterations, 0, False, tuple(history))
+                step /= divisor
+            # scaling by a power of two is exact and keeps the merit finite
+            scale = math.ldexp(1.0, -math.frexp(norm)[1])
+            phi0 = float(np.dot(scale * r, scale * r))
+            alpha = 1.0
+            accepted = False
+            while alpha >= cfg.min_step:
+                trial = u + alpha * step
+                try:
+                    r_trial = fun(trial)
+                except ExponentOverflowError:
+                    pass
+                else:
+                    scaled = scale * r_trial
+                    if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
+                        u, r = trial, r_trial
+                        accepted = True
+                        break
+                # the full and half steps are always tried; after that, resume
+                # near the previously accepted length instead of re-walking down
+                if alpha == cfg.shrink and 2.0 * prev_alpha < alpha * cfg.shrink:
+                    alpha = 2.0 * prev_alpha
+                else:
+                    alpha *= cfg.shrink
+            if not accepted:
+                failed = True
+                break
+            prev_alpha = alpha
+            iterations += 1
+            new_norm = float(np.max(np.abs(r)))
+            # crawling lines (sub-0.1% progress) cannot reach tolerance within
+            # any reasonable budget; cut them off early
+            stalled = stalled + 1 if new_norm > 0.999 * norm else 0
+            norm = new_norm
+            history.append(norm)
+            if stalled >= 12:
+                failed = True
+                break
+            if escape_radius is not None and float(np.max(np.abs(u))) > escape_radius:
+                failed = True
+                break
+            if norm > 1e12:
+                failed = True
+                break
+
+        if true_fun is not None:
+            r_true = _safe_eval(true_fun, u)
+            norm = float(np.max(np.abs(r_true))) if r_true is not None else math.inf
+
+        converged = not failed and norm < cfg.tol
+        jac_sign = 0
+        if converged:
+            final_jac = _safe_eval(sign_jac, u)
+            if final_jac is None:
+                converged = False
+            else:
+                jac_sign = linalg.det_sign(final_jac)
+                if jac_sign == 0:
+                    converged = False
+    return SolveReport(_freeze(u), norm, iterations, jac_sign, converged, tuple(history))
+
+
+def enumerate_signed_roots_oracle(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac_fun: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    radius: float,
+    cfg: SolverConfig,
+    n_starts: int,
+    deflate=_deflated_system,
+    newton=newton_system_oracle,
+) -> tuple[list[np.ndarray], list[int], int]:
+    """``degree._enumerate_signed_roots`` before the block screen: one start at a time.
+
+    ``deflate`` builds the deflated system and ``newton`` runs it, in the
+    shapes of ``solvers._deflated_system`` and ``newton_system_oracle``.
+
+    Wave one: low-discrepancy starts at several scales.  Wave two, around
+    every discovered root with that root deflated away: coordinate and
+    constant offsets, plus a ladder of offsets along the near-singular
+    eigendirection of the root's Jacobian, which is where an annihilation
+    partner hides near a fold.  Returns the roots, their determinant
+    signs, and the number of Newton runs spent.
+    """
+    starts = [np.zeros(dim)]
+    if n_starts > 1:
+        points = linalg.halton_ball(dim, n_starts - 1, radius, cfg.seed)
+        starts.extend(p * degree._START_SCALES[i % len(degree._START_SCALES)] for i, p in enumerate(points))
+    escape = max(8.0 * radius, 10.0)
+    # enumeration runs are throwaway probes: converging runs need far fewer
+    # than the configured solver budget, so failing ones get cut off sooner
+    run_cfg = replace(cfg, max_iter=min(cfg.max_iter, 60))
+    roots: list[np.ndarray] = []
+    signs: list[int] = []
+    runs = 0
+
+    def try_start(start: np.ndarray) -> np.ndarray | None:
+        nonlocal runs
+        runs += 1
+        dfun, jac, step_scale = deflate(fun, jac_fun, roots)
+        report = newton(
+            dfun,
+            jac,
+            start,
+            run_cfg,
+            true_fun=fun,
+            escape_radius=escape,
+            step_scale=step_scale,
+        )
+        if report.residual_norm >= cfg.tol:
+            return None
+        u = np.array(report.solution)
+        if float(np.max(np.abs(u))) >= radius:
+            return None
+        if roots:
+            closest = min(float(np.max(np.abs(u - r))) for r in roots)
+            if closest <= degree.DEDUP_RADIUS:
+                if closest > cfg.deflation_radius:
+                    warnings.warn(
+                        f"two roots within {closest:.2e} sup-distance merged",
+                        stacklevel=3,
+                    )
+                return None
+        sign = report.jac_sign
+        if sign == 0:
+            sign = linalg.det_sign(jac_fun(u))
+        if sign == 0:
+            raise DegenerateRootError(
+                "a root has a numerically singular Jacobian; the degree is "
+                "undefined at this tolerance"
+            )
+        roots.append(u)
+        signs.append(sign)
+        return u
+
+    probe_queue: list[np.ndarray] = []
+    for start in starts:
+        found = try_start(start)
+        if found is not None:
+            probe_queue.append(found)
+
+    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
+    for x in range(dim):
+        bump = np.zeros(dim)
+        bump[x] = 1.0
+        offsets.extend((bump, -bump))
+    unique = {tuple(o) for o in offsets}
+    offsets = [np.array(o) for o in sorted(unique)]
+
+    def fold_direction(center: np.ndarray) -> np.ndarray | None:
+        try:
+            jac = np.asarray(jac_fun(center), dtype=float)
+            eigenvalues, eigenvectors = np.linalg.eig(jac)
+        except (ExponentOverflowError, np.linalg.LinAlgError):
+            return None
+        vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
+        peak = float(np.max(np.abs(vector)))
+        return vector / peak if peak > 0.0 else None
+
+    probed = 0
+    while probe_queue and probed < degree._MAX_PROBED_ROOTS:
+        center = probe_queue.pop(0)
+        probed += 1
+        for scale in degree._PROBE_SCALES:
+            for offset in offsets:
+                found = try_start(center + scale * radius * offset)
+                if found is not None:
+                    probe_queue.append(found)
+        direction = fold_direction(center)
+        if direction is None:
+            continue
+        distances = [4.0 * degree.DEDUP_RADIUS] + [s * radius for s in degree._FOLD_RELATIVE_SCALES]
+        for distance in distances:
+            for orientation in (1.0, -1.0):
+                found = try_start(center + orientation * distance * direction)
+                if found is not None:
+                    probe_queue.append(found)
+    return roots, signs, runs
 
 
 def graph_arrays_oracle(vertex_ids, mu, edges):

@@ -100,6 +100,32 @@ def test_round_trip_random_documents(tmp_path):
         assert reparsed == doc
 
 
+def test_a_parsed_graph_checks_its_edges_once(tmp_path, monkeypatch):
+    calls = []
+    original = tzgraph.graphs._index_edges
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tzgraph.graphs, "_index_edges", counted)
+    monkeypatch.setattr(tzgraph.cli, "_index_edges", counted)
+    rng = np.random.default_rng(409)
+    data = helpers.random_graph_data(rng, 7)
+    doc = GraphDocument([(label, m, 1.0, -1.0) for label, m in zip(data["ids"], data["mu"])], data["edges"])
+    parsed = parse_graph(write(tmp_path, format_graph(doc)))
+    g = parsed.to_graph()[0]
+    assert len(calls) == 1
+    # a document built in code has its edges checked when it becomes a graph
+    checked = doc.to_graph()[0]
+    assert len(calls) == 2
+    for name in ("edge_tail", "edge_head", "edge_weight"):
+        assert getattr(g, name).tobytes() == getattr(checked, name).tobytes()
+    assert [g.neighbors(i) for i in range(g.n)] == [checked.neighbors(i) for i in range(g.n)]
+    with pytest.raises(tzgraph.GraphConstructionError):
+        GraphDocument(doc.vertices, doc.edges + [(data["ids"][0], "ghost", 1.0)]).to_graph()
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

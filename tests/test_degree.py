@@ -1,5 +1,6 @@
 """Degree estimation: expected signed counts, scalar enumeration, stability."""
 
+import inspect
 import math
 from functools import partial
 
@@ -21,9 +22,8 @@ from tzgraph import (
     verify_homotopy_invariance,
 )
 from tzgraph import degree
-from tzgraph.degree import _canonical_order, _enumerate_signed_roots
+from tzgraph.degree import _canonical_order
 from tzgraph.model import _kernels
-from tzgraph.solvers import _newton_system
 from tzgraph.errors import SpecValidationError
 
 CFG = SolverConfig()
@@ -105,7 +105,7 @@ def test_estimate_degree_matches_the_enumerator_on_public_functions():
         g = helpers.random_graph(rng, n)
         spec = makers[trial % len(makers)](rng, n)
         report = estimate_degree(spec, g, CFG, n_starts=16)
-        roots, signs, runs = _enumerate_signed_roots(
+        roots, signs, runs = helpers.enumerate_signed_roots_oracle(
             lambda u: residual(spec, g, u),
             lambda u: jacobian(spec, g, u),
             g.n,
@@ -134,21 +134,46 @@ def _differential_instances():
         yield helpers.generalized_spec(rng, 2), g
 
 
-def test_estimate_degree_matches_the_enumerator_on_the_deflated_jacobian(monkeypatch):
+def test_estimate_degree_matches_the_enumerator_on_the_deflated_jacobian():
     # the enumerator before the step scale: every run factors the deflated
     # Jacobian and takes its sign from the undeflated one
     for spec, g in _differential_instances():
         report = estimate_degree(spec, g, CFG, n_starts=16)
         fun, jac = _kernels(spec, g)
-        with monkeypatch.context() as patch:
-            patch.setattr(degree, "_deflated_system", helpers.deflated_system_oracle)
-            patch.setattr(degree, "_newton_system", partial(_newton_system, sign_jac_fun=jac))
-            roots, signs, runs = _enumerate_signed_roots(fun, jac, g.n, report.radius, CFG, 16)
+        roots, signs, runs = helpers.enumerate_signed_roots_oracle(
+            fun,
+            jac,
+            g.n,
+            report.radius,
+            CFG,
+            16,
+            deflate=helpers.deflated_system_oracle,
+            newton=partial(helpers.newton_system_oracle, sign_jac_fun=jac),
+        )
         solutions, ordered = _canonical_order(roots, signs)
         assert (report.degree, report.signs, report.starts_used) == (sum(ordered), ordered, runs)
         assert len(report.solutions) == len(solutions)
         for u, v in zip(report.solutions, solutions):
             assert np.max(np.abs(u - v)) <= 1e-12
+
+
+def test_merged_roots_warn_once_at_the_caller(monkeypatch):
+    # a root closer than DEDUP_RADIUS to a known one is merged with a
+    # warning; with no probing around roots, one of the two runs lands on it
+    rng = np.random.default_rng(349)
+    g = helpers.random_graph(rng, 2)
+    spec = helpers.generalized_spec(rng, 2)
+    first, second = estimate_degree(spec, g, CFG, n_starts=8).solutions
+    gap = float(np.max(np.abs(first - second)))
+    monkeypatch.setattr(degree, "DEDUP_RADIUS", 1.01 * gap)
+    monkeypatch.setattr(degree, "_MAX_PROBED_ROOTS", 0)
+    with pytest.warns(UserWarning) as caught:
+        report = estimate_degree(spec, g, CFG, n_starts=2)
+    assert len(caught) == 1 and len(report.solutions) == 1
+    assert str(caught[0].message) == f"two roots within {gap:.2e} sup-distance merged"
+    lines, first_line = inspect.getsourcelines(degree.estimate_degree)
+    call = next(i for i, line in enumerate(lines) if "_enumerate_signed_roots(" in line)
+    assert (caught[0].filename, caught[0].lineno) == (degree.__file__, first_line + call)
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])

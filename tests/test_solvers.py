@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from tzgraph import (
 from tzgraph import linalg
 from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
-from tzgraph.errors import SpecValidationError
-from tzgraph.solvers import _deflated_system, _mean_constant_root, _newton_system
+from tzgraph.errors import ExponentOverflowError, SpecValidationError
+from tzgraph.solvers import _deflated_system, _mean_constant_root, _newton_block, _newton_system
 
 CFG = SolverConfig()
 
@@ -40,6 +41,19 @@ def constant_spec(kind, n, h1, h2, A=1.0, B=1.0):
 
 # ---------------------------------------------------------------------------
 # newton
+
+
+def test_sup_norms_by_maximum_reduce_have_the_bits_of_np_max():
+    rng = np.random.default_rng(271)
+    for n in range(1, 40):
+        x = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+        for special in (None, math.nan, math.inf, -math.inf, -0.0, 5e-324):
+            y = x.copy()
+            if special is not None:
+                y[:, rng.integers(n)] = special
+            assert np.maximum.reduce(np.abs(y[0])).tobytes() == np.max(np.abs(y[0])).tobytes()
+            rows = np.array([np.max(np.abs(row)) for row in y])
+            assert np.maximum.reduce(np.abs(y), axis=1).tobytes() == rows.tobytes()
 
 
 def test_newton_classic_trivial_root():
@@ -294,6 +308,130 @@ def test_newton_validates_its_start_once(monkeypatch):
         counts.append((report.iterations, len(calls)))
     assert counts[0][0] != counts[1][0]
     assert counts[0][1] == counts[1][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the lockstep block screen
+
+
+def _screen_against_runs(fun, jac, block_fun, block_jac, starts, known, cfg, escape):
+    """Screen ``starts`` block by block and check every row against its own run."""
+    screened, rest = [], np.array(starts)
+    while len(rest):
+        screened.append(_newton_block(block_fun, block_jac, rest, cfg, known, escape))
+        assert screened[-1][2][:-1].sum() == 0  # a screen stops at the first row that passes
+        rest = rest[len(screened[-1][2]) :]
+    u, iterations, passed = (np.concatenate(part) for part in zip(*screened))
+    reports = []
+    for i, start in enumerate(starts):
+        dfun, djac, step_scale = _deflated_system(fun, jac, known)
+        report = _newton_system(
+            dfun, djac, start, cfg, true_fun=fun, escape_radius=escape, step_scale=step_scale
+        )
+        assert u[i].tobytes() == report.solution.tobytes()
+        assert iterations[i] == report.iterations
+        assert passed[i] == (report.residual_norm < cfg.tol)
+        reports.append(report)
+    return reports
+
+
+def _screen_case(spec, g, starts, known, cfg=CFG, escape=20.0):
+    return _screen_against_runs(*_kernels(spec, g), *_kernels(spec, g, block=True), starts, known, cfg, escape)
+
+
+def test_block_screen_follows_every_run_bit_for_bit():
+    rng = np.random.default_rng(263)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec, helpers.mirror_spec)
+    exits = dict.fromkeys(("converged", "passed unconverged", "cap at start", "d2 = 0", "budget", "escape"), 0)
+    for trial in range(40):
+        n = 1 + trial % 8
+        g = helpers.random_graph(rng, n)
+        spec = makers[trial % len(makers)](rng, n)
+        known = []
+        for _ in range(trial % 4):
+            report = newton_deflated(spec, g, known, rng.uniform(-1.0, 1.0, n), CFG)
+            known.append(np.array(report.solution) if report.converged else rng.uniform(-1.0, 1.0, n))
+        starts = [rng.uniform(-s, s, n) for s in (4.0, 1.0, 0.25, 0.0625) for _ in range(3)]
+        starts += [k + rng.uniform(-1e-3, 1e-3, n) for k in known] + known[:1]
+        if len(known) == 3:
+            # deflate a point 1e-5 from the third root, as a fold partner
+            # would be, and start next to that root: F can reach tol there,
+            # the deflated residual cannot
+            starts.append(known[2] - 1e-10)
+            known[2] = known[2] + 1e-5
+        starts += [np.full(n, 2000.0), np.full(n, -2000.0)]
+        cfg = SolverConfig(max_iter=3 if trial % 5 == 0 else 60)
+        escape = 1.5 if trial % 3 == 0 else 20.0
+        for start, report in zip(starts, _screen_case(spec, g, starts, known, cfg, escape)):
+            passed = report.residual_norm < cfg.tol
+            exits["converged"] += report.converged
+            # the runs a screen for converged runs would miss
+            exits["passed unconverged"] += passed and not report.converged
+            exits["cap at start"] += report.residual_history == (math.inf,) and abs(start[0]) == 2000.0
+            exits["d2 = 0"] += any(start is k for k in known) and report.residual_history == (math.inf,)
+            exits["budget"] += report.iterations == cfg.max_iter and not passed
+            exits["escape"] += float(np.max(np.abs(report.solution))) > escape
+    assert min(exits.values()) > 0, exits
+
+
+def _linear_system(slope, shift, n=1, jac_slope=None):
+    """``F(u) = slope u - shift`` and a Jacobian ``jac_slope I``, as 1-d and block callables."""
+    mat = (slope if jac_slope is None else jac_slope) * np.eye(n)
+    return (
+        lambda u: slope * u - shift,
+        lambda u: mat.copy(),
+        lambda u: slope * u - shift,
+        lambda u: np.repeat(mat[None], len(u), axis=0),
+    )
+
+
+def test_block_screen_follows_runs_through_constructed_exits():
+    # the exponent cap in a trial step: next to the zero of the slope of
+    # 0.5 e^{3u} + 0.5 e^{-u} the Newton step is about 1e8 long
+    g = helpers.random_graph(np.random.default_rng(269), 3)
+    spec = constant_spec(Kind.CLASSIC, 3, 0.5, 0.5, A=3.0, B=1.0)
+    fun, jac = _kernels(spec, g)
+    capped = []
+
+    def guarded(u):
+        try:
+            return fun(u)
+        except ExponentOverflowError:
+            capped.append(u)
+            raise
+
+    starts = [np.full(3, -math.log(3.0) / 4.0 + 1e-9), np.full(3, 0.5), np.full(3, -3.0)]
+    _screen_against_runs(guarded, jac, *_kernels(spec, g, block=True), starts, [], CFG, 20.0)
+    assert capped
+
+    # an exactly singular Jacobian next to regular ones: the stacked inverse
+    # fails as a whole and falls back to one matrix at a time
+    spec = constant_spec(Kind.CLASSIC, 2, 1.0, 1.0)
+    block_fun, block_jac = _kernels(spec, helpers.k2(), block=True)
+    starts = [np.full(2, 0.3), np.zeros(2), np.array([0.2, -0.1])]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(block_jac(np.array(starts)))
+    singular = _screen_case(spec, helpers.k2(), starts, [])[1]
+    assert (singular.iterations, singular.jac_sign, singular.residual_norm) == (0, 0, 2.0)
+
+    # early returns, each in a block with regular rows: an exactly singular
+    # Jacobian and a step divisor M - g.s of exactly zero, both where F is
+    # below tol and the deflated residual 17 F is not, so that a run going on
+    # to any other exit would pass; and a divisor of infinity (see the
+    # sequential test above)
+    cases = ((0.0, 1e-11, 0.25), (2.0**-34, 15 * 2.0**-41, 0.25), (1e-308, -1.0, 0.5))
+    for slope, shift, start in cases:
+        starts = [np.array([start]), np.array([0.3]), np.array([-2.0])]
+        runs = _screen_against_runs(*_linear_system(slope, shift), starts, [np.zeros(1)], CFG, 20.0)
+        assert (runs[0].iterations, runs[0].jac_sign, runs[0].residual_norm >= CFG.tol) == (0, 0, True)
+
+    # a stall with |F| < tol: a Jacobian 2000 times too steep cuts the
+    # residual by 0.05 % a step, which F, at 5e-12, does not need and the
+    # deflated residual, 5000 times larger, cannot afford
+    system = _linear_system(1.0, 0.0, 2, jac_slope=2000.0)
+    starts = [np.full(2, 5e-12), np.full(2, 0.3)]
+    stall = _screen_against_runs(*system, starts, [np.full(2, 0.01)], CFG, 20.0)[0]
+    assert stall.residual_norm < CFG.tol and not stall.converged and stall.iterations == 12
 
 
 # ---------------------------------------------------------------------------
