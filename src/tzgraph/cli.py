@@ -86,7 +86,11 @@ class GraphDocument:
 
     def to_graph(self) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         labels, mu = [v[0] for v in self.vertices], [v[1] for v in self.vertices]
-        g = WeightedGraph(labels, mu, self.edges, _checked_edges=self.checked_edges)
+        # the checked index arrays hold only for the labels and edges they were checked with
+        checked_for, arrays = self.checked_edges or (None, None)
+        if checked_for != (tuple(labels), tuple(self.edges)):
+            arrays = None
+        g = WeightedGraph(labels, mu, self.edges, _checked_edges=arrays)
         h1, h2 = (np.array([v[k] for v in self.vertices]) for k in (2, 3))
         return g, h1, h2
 
@@ -172,7 +176,7 @@ def parse_graph(path: str | Path) -> GraphDocument:
             "duplicate": f"duplicate edge {a!r}-{b!r}",
         }[check], lineno)
     edges = list(zip(ends_a, ends_b, weights))
-    return GraphDocument(vertices, edges, (tails, heads, weight))
+    return GraphDocument(vertices, edges, ((tuple(seen), tuple(edges)), (tails, heads, weight)))
 
 
 def format_graph(doc: GraphDocument) -> str:
@@ -331,7 +335,7 @@ def _cmd_bounds(spec, g, cfg, args):
 def _cmd_multiplicity(spec, g, cfg, args):
     barriers = choose_barriers(spec, g)
     reports = find_two_solutions(spec, g, cfg)
-    separation = float(np.max(np.abs(reports[0].solution - reports[1].solution)))
+    separation = float(np.maximum.reduce(np.abs(reports[0].solution - reports[1].solution)))
     result = {
         "barrier": {"delta": barriers.delta, "beta": barriers.beta, "side": barriers.side},
         "solutions": [r.solution for r in reports],
@@ -361,7 +365,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
     worst = 0.0
     for _ in range(20):
         u = rng.normal(0.0, 0.75, n)
-        bound = 1e-10 * (1.0 + float(np.max(np.abs(u))) * total_weight)
+        bound = 1e-10 * (1.0 + float(np.maximum.reduce(np.abs(u))) * total_weight)
         worst = max(worst, abs(integrate(g, laplacian(g, u))) / bound)
     record("divergence_identity", worst <= 1.0, f"worst ratio {worst:.3e}")
 
@@ -378,7 +382,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
     for _ in range(50):
         u = rng.normal(0.0, 1.0, n)
         spread = float(u.max() - u.min())
-        if spread > c_elliptic * float(np.max(np.abs(laplacian(g, u)))) + 1e-12:
+        if spread > c_elliptic * float(np.maximum.reduce(np.abs(laplacian(g, u)))) + 1e-12:
             violations += 1
     record("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields")
 
@@ -390,8 +394,8 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
         for x in range(n):
             bump = tau * np.eye(n)[x]
             column = (residual(spec, g, u + bump) - residual(spec, g, u - bump)) / (2 * tau)
-            scale = max(float(np.max(np.abs(jac[:, x]))), 1.0)
-            worst = max(worst, float(np.max(np.abs(column - jac[:, x]))) / scale)
+            scale = max(float(np.maximum.reduce(np.abs(jac[:, x]))), 1.0)
+            worst = max(worst, float(np.maximum.reduce(np.abs(column - jac[:, x]))) / scale)
     record("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}")
 
     if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
@@ -408,7 +412,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
     if spec.kind is Kind.CLASSIC and float(spec.h2.max()) < 0.0:
         final = continuation(spec, g, default_t_grid(), None, cfg)[-1]
         direct = newton(spec, g, np.zeros(n), cfg)
-        gap = float(np.max(np.abs(final.solution - direct.solution)))
+        gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
         record(
             "continuation_matches_newton",
             direct.converged and gap <= 1e-8,
@@ -431,10 +435,8 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
                 bump = tau * np.eye(n)[x]
                 fd[x] = (energy(spec, g, u + bump) - energy(spec, g, u - bump)) / (2 * tau)
             fd /= g.mu
-            worst = max(
-                worst,
-                float(np.max(np.abs(fd - grad))) / max(float(np.max(np.abs(grad))), 1e-8),
-            )
+            scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
+            worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
         record("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}")
         d = estimate_degree(spec, g, cfg, n_starts=min(args.starts, 48)).degree
         record("degree_value", d == 0, f"estimated degree {d}")

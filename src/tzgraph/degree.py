@@ -37,10 +37,11 @@ from .model import (
     Kind,
     ProblemSpec,
     _kernels,
+    _pointwise,
     default_epsilon,
     jacobian,
 )
-from .solvers import SolverConfig, _deflated_system, _newton_block, _newton_system
+from .solvers import SolverConfig, _bisect, _deflated_system, _newton_block, _newton_system
 
 __all__ = [
     "Confidence",
@@ -261,17 +262,6 @@ def estimate_degree(
     )
 
 
-def _scalar_values(spec: ProblemSpec, c: np.ndarray) -> np.ndarray:
-    h1 = float(spec.h1[0])
-    h2 = float(spec.h2[0])
-    with np.errstate(over="ignore"):
-        e_up = np.exp(spec.A * c)
-        e_dn = np.exp(-spec.B * c)
-        if spec.kind is Kind.CLASSIC:
-            return h1 * e_up + h2 * e_dn
-        return h1 * e_up * (e_up - 1.0) + h2 * e_dn * (e_dn - 1.0)
-
-
 def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     """Exhaustive scalar enumeration for one-vertex problems.
 
@@ -290,30 +280,19 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     box = bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, k1)
     lo, hi = box.lower - 1.0, box.upper + 1.0
 
+    pointwise = _pointwise(spec)[0]
+
+    def term(c: np.ndarray) -> np.ndarray:
+        return pointwise(spec.A * c, -spec.B * c)
+
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = _scalar_values(spec, grid)
-    roots: list[float] = []
-    for i in range(_SCAN_POINTS - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(values[i]), float(values[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = float(_scalar_values(spec, np.array([mid]))[0])
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    if float(values[-1]) == 0.0:
-        roots.append(float(grid[-1]))
+    # beyond the exponent range the term is an infinity of the right sign; the
+    # signs are multiplied, not the values, whose product can overflow
+    with np.errstate(over="ignore"):
+        values = term(grid)
+        brackets = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
+        found = _bisect(term, grid[brackets], grid[brackets + 1], values[brackets])
+    roots = np.concatenate((grid[values == 0.0], found)).tolist()
 
     deduped: list[float] = []
     for r in sorted(roots):

@@ -22,12 +22,15 @@ has the generalized residual as its gradient in the mu-weighted inner
 product, which is why ``energy_gradient`` and ``residual`` share one code
 path.
 
-The four residual and Jacobian functions validate their inputs, then run
-one kernel with the deformation as a parameter (``_kernels``); ``energy``
-does the same with ``_energy_kernel``.  Solvers validate once per entry
-point and iterate on the kernels' unchecked callables, which keep only the
-exponent guard; ``_kernels(..., block=True)`` evaluates a block of fields at
-once, with the guard applied per field.
+The pointwise term of both kinds, its derivative and its exponent cap live
+in one place, ``_pointwise``; everything else that evaluates the term (the
+kernels below, the barrier crossings of ``solvers`` and the scalar scan of
+``degree``) builds on it.  The four residual and Jacobian functions
+validate their inputs, then run one kernel with the deformation as a
+parameter (``_kernels``); ``energy`` does the same with ``_energy_kernel``.
+Solvers validate once per entry point and iterate on the kernels' unchecked
+callables, which keep only the exponent guard; ``_kernels(..., block=True)``
+evaluates a block of fields at once, with the guard applied per field.
 """
 
 from __future__ import annotations
@@ -174,6 +177,43 @@ def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarra
     return au, bu
 
 
+def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Callable, Callable, float]:
+    """The pointwise term of the deformation ``hp``, its derivative, and the exponent cap.
+
+    The two callables take ``A u`` and ``-B u`` and broadcast against the
+    coefficient fields, so one call evaluates every vertex, or many points of
+    a one-vertex spec.  Neither applies the cap; ``hp`` is trusted to be valid.
+    """
+    A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
+    if spec.kind is Kind.CLASSIC:
+        t, eps = (0.0, 0.0) if hp is None else (hp.t, hp.epsilon)
+        c1 = t * eps + (1.0 - t) * h1
+        c2 = -t * eps + (1.0 - t) * h2
+        a_c1, b_c2 = A * c1, B * c2
+
+        def pointwise(au, bu):
+            return c1 * np.exp(au) + c2 * np.exp(bu)
+
+        def slope(au, bu):
+            return a_c1 * np.exp(au) - b_c2 * np.exp(bu)
+
+        return pointwise, slope, EXP_CAP_CLASSIC
+
+    t = 1.0 if hp is None else hp.t
+    shift, h1_a, h2_b = 1.0 - t, h1 * A, h2 * B
+
+    def pointwise(au, bu):
+        return h1 * np.exp(au) * (np.expm1(au) + shift) + (
+            h2 * np.exp(bu) * (np.expm1(bu) + shift)
+        )
+
+    def slope(au, bu):
+        e_up, e_dn = np.exp(au), np.exp(bu)
+        return h1_a * e_up * (2.0 * e_up - t) + h2_b * e_dn * (t - 2.0 * e_dn)
+
+    return pointwise, slope, EXP_CAP_GENERALIZED
+
+
 def _kernels(
     spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None, block: bool = False
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
@@ -189,32 +229,9 @@ def _kernels(
     _check_spec_alignment(spec, g)
     if hp is not None:
         validate_homotopy(spec, hp)
-    A, B, h1, h2, n = spec.A, spec.B, spec.h1, spec.h2, g.n
+    pointwise, slope, cap = _pointwise(spec, hp)
+    A, B, n = spec.A, spec.B, g.n
     neg_lap = g.neg_laplacian()
-    if spec.kind is Kind.CLASSIC:
-        t, eps = (0.0, 0.0) if hp is None else (hp.t, hp.epsilon)
-        c1 = t * eps + (1.0 - t) * h1
-        c2 = -t * eps + (1.0 - t) * h2
-        a_c1, b_c2, cap = A * c1, B * c2, EXP_CAP_CLASSIC
-
-        def pointwise(au, bu):
-            return c1 * np.exp(au) + c2 * np.exp(bu)
-
-        def slope(au, bu):
-            return a_c1 * np.exp(au) - b_c2 * np.exp(bu)
-
-    else:
-        t = 1.0 if hp is None else hp.t
-        shift, h1_a, h2_b, cap = 1.0 - t, h1 * A, h2 * B, EXP_CAP_GENERALIZED
-
-        def pointwise(au, bu):
-            return h1 * np.exp(au) * (np.expm1(au) + shift) + (
-                h2 * np.exp(bu) * (np.expm1(bu) + shift)
-            )
-
-        def slope(au, bu):
-            e_up, e_dn = np.exp(au), np.exp(bu)
-            return h1_a * e_up * (2.0 * e_up - t) + h2_b * e_dn * (t - 2.0 * e_dn)
 
     if block:
         def exponents(u):

@@ -34,7 +34,9 @@ from .model import (
     Kind,
     ProblemSpec,
     _energy_kernel,
+    _exponents,
     _kernels,
+    _pointwise,
     default_epsilon,
     energy,
     residual,
@@ -509,14 +511,26 @@ def multiplicity_branch(spec: ProblemSpec) -> int:
     return 0
 
 
-def _scalar_nonlinearity(spec: ProblemSpec, vertex: int, c: float) -> float:
-    if abs(spec.A * c) > 350.0 or abs(spec.B * c) > 350.0:
-        raise ExponentOverflowError(f"scalar exponent out of range at c={c:.3g}")
-    h1 = float(spec.h1[vertex])
-    h2 = float(spec.h2[vertex])
-    e_up = math.exp(spec.A * c)
-    e_dn = math.exp(-spec.B * c)
-    return h1 * e_up * (e_up - 1.0) + h2 * e_dn * (e_dn - 1.0)
+def _bisect(
+    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
+) -> np.ndarray:
+    """Bisection of every lane of the brackets ``[lo, hi]`` at once (floats make one lane).
+
+    ``f_lo`` holds ``fun(lo)``, whose sign ``fun(hi)`` must not share.  A lane
+    keeps the half whose end has the sign of its ``f_lo`` and stops at a
+    midpoint where ``fun`` is exactly zero.  Returns the midpoints after 200
+    halvings, or sooner, once no lane's midpoint differs from both its ends:
+    from then on halving changes no bit.
+    """
+    lo, hi, lo_negative = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), f_lo < 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not ((mid != lo) & (mid != hi)).any():
+            break
+        f_mid = fun(mid)
+        low = (f_mid < 0.0) == lo_negative  # the midpoint replaces lo, or both ends at a zero
+        lo, hi = np.where(low | (f_mid == 0.0), mid, lo), np.where(low & (f_mid != 0.0), hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _negative_crossings(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
@@ -525,37 +539,28 @@ def _negative_crossings(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
     Under ``A h1(x) > B h2(x)`` the pointwise term is negative just below
     zero and grows without bound far below, so each vertex has a crossing;
     bisection brackets it between a halved near point and a doubled far
-    point.
+    point.  Every vertex is searched and bisected at once, under the
+    kernels' exponent guard.
     """
-    crossings = np.empty(g.n)
-    for x in range(g.n):
-        near = None
-        s = 0.5
+    pointwise, _, cap = _pointwise(spec)
+
+    def term(c: np.ndarray) -> np.ndarray:
+        return pointwise(*_exponents(spec.A, spec.B, cap, c))
+
+    def search(first: float, factor: float, sign: float) -> np.ndarray:
+        """Per vertex, the first ``s = first * factor**k`` with ``sign * term(-s) > 0``."""
+        s = np.full(g.n, first)
         for _ in range(_BARRIER_SEARCH_STEPS):
-            if _scalar_nonlinearity(spec, x, -s) < 0.0:
-                near = s
-                break
-            s *= 0.5
-        far = None
-        s = 1.0
-        for _ in range(_BARRIER_SEARCH_STEPS):
-            if _scalar_nonlinearity(spec, x, -s) > 0.0:
-                far = s
-                break
-            s *= 2.0
-        if near is None or far is None:
-            raise BarrierInapplicableError(
-                "could not bracket the negative-side sign change of the nonlinearity"
-            )
-        lo, hi = -far, -near
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if _scalar_nonlinearity(spec, x, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        crossings[x] = 0.5 * (lo + hi)
-    return crossings
+            found = sign * term(-s) > 0.0
+            if found.all():
+                return s
+            s[~found] *= factor
+        raise BarrierInapplicableError(
+            "could not bracket the negative-side sign change of the nonlinearity"
+        )
+
+    near, far = search(0.5, 0.5, -1.0), search(1.0, 2.0, 1.0)
+    return _bisect(term, -far, -near, term(-far))
 
 
 def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
@@ -616,20 +621,14 @@ def _mean_constant_root(
     fun: Callable[[np.ndarray], np.ndarray], g: WeightedGraph, lo: float, hi: float
 ) -> float:
     """Bisect the measure-averaged residual kernel on constant fields over [lo, hi]."""
-    f_lo = float(np.dot(g.mu, fun(np.full(g.n, lo)))) / g.volume
-    f_hi = float(np.dot(g.mu, fun(np.full(g.n, hi)))) / g.volume
-    if f_lo * f_hi >= 0.0:
+
+    def mean(c: float) -> float:
+        return float(np.dot(g.mu, fun(np.full(g.n, c)))) / g.volume
+
+    f_lo = mean(lo)
+    if f_lo * mean(hi) >= 0.0:
         return 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(np.dot(g.mu, fun(np.full(g.n, mid)))) / g.volume
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(mean, lo, hi, f_lo))
 
 
 def minimize_box(

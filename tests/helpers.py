@@ -15,7 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from tzgraph import Kind, ProblemSpec, WeightedGraph, average, degree, linalg, residual
+from tzgraph import (
+    Kind,
+    ProblemSpec,
+    WeightedGraph,
+    average,
+    bounds_classic,
+    bounds_generalized,
+    degree,
+    jacobian,
+    linalg,
+    residual,
+)
 from tzgraph.cli import GraphDocument
 from tzgraph.errors import (
     DegenerateRootError,
@@ -833,3 +844,100 @@ def mean_constant_root_oracle(spec: ProblemSpec, g: WeightedGraph, lo: float, hi
         else:
             hi, f_hi = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def negative_crossings_oracle(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
+    """``solvers._negative_crossings`` before it ran on ``model._pointwise``: one
+    vertex at a time on ``pointwise_value``, with 120 fixed halvings and a
+    two-sided exponent guard (``|A c|`` and ``|B c|`` at most 350)."""
+
+    def value(x: int, c: float) -> float:
+        if abs(spec.A * c) > 350.0 or abs(spec.B * c) > 350.0:
+            raise ExponentOverflowError(f"scalar exponent out of range at c={c:.3g}")
+        return pointwise_value(spec, x, c)
+
+    crossings = np.empty(g.n)
+    for x in range(g.n):
+        near = None
+        s = 0.5
+        for _ in range(60):
+            if value(x, -s) < 0.0:
+                near = s
+                break
+            s *= 0.5
+        far = None
+        s = 1.0
+        for _ in range(60):
+            if value(x, -s) > 0.0:
+                far = s
+                break
+            s *= 2.0
+        assert near is not None and far is not None, "no negative-side sign change"
+        lo, hi = -far, -near
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            if value(x, mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        crossings[x] = 0.5 * (lo + hi)
+    return crossings
+
+
+def _scalar_values_oracle(spec: ProblemSpec, c: np.ndarray) -> np.ndarray:
+    h1 = float(spec.h1[0])
+    h2 = float(spec.h2[0])
+    with np.errstate(over="ignore"):
+        e_up = np.exp(spec.A * c)
+        e_dn = np.exp(-spec.B * c)
+        if spec.kind is Kind.CLASSIC:
+            return h1 * e_up + h2 * e_dn
+        return h1 * e_up * (e_up - 1.0) + h2 * e_dn * (e_dn - 1.0)
+
+
+def degree_single_vertex_oracle(spec: ProblemSpec) -> degree.DegreeReport:
+    """``degree.degree_single_vertex`` before it ran on ``model._pointwise``: a
+    scan of 4097 points, then one bracket at a time bisected 200 times on the
+    term written out with ``e^x - 1``."""
+    k1 = WeightedGraph(("o",), (1.0,), ())
+    if spec.kind is Kind.CLASSIC and float(spec.h2[0]) >= 0.0:
+        return degree.DegreeReport((), (), 0, math.inf, 0, degree.Confidence.PROVEN)
+    box = bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, k1)
+    grid = np.linspace(box.lower - 1.0, box.upper + 1.0, 4097)
+    values = _scalar_values_oracle(spec, grid)
+    roots: list[float] = []
+    for i in range(grid.size - 1):
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa, fb = float(values[i]), float(values[i + 1])
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if fa * fb >= 0.0:
+            continue
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            fm = float(_scalar_values_oracle(spec, np.array([mid]))[0])
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm < 0.0) == (fa < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    if float(values[-1]) == 0.0:
+        roots.append(float(grid[-1]))
+    deduped: list[float] = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > 1e-9:
+            deduped.append(r)
+    signs = []
+    for r in deduped:
+        derivative = float(jacobian(spec, k1, np.array([r]))[0, 0])
+        if abs(derivative) < 1e-12:
+            raise DegenerateRootError(f"scalar root {r:.12g} has derivative below 1e-12")
+        signs.append(1 if derivative > 0.0 else -1)
+    solutions = tuple(np.array([r]) for r in deduped)
+    return degree.DegreeReport(
+        solutions, tuple(signs), int(sum(signs)), box.radius, 0, degree.Confidence.PROVEN
+    )

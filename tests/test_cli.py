@@ -126,6 +126,42 @@ def test_a_parsed_graph_checks_its_edges_once(tmp_path, monkeypatch):
         GraphDocument(doc.vertices, doc.edges + [(data["ids"][0], "ghost", 1.0)]).to_graph()
 
 
+PATH3_LINES = "vertex a 1 1 -1\nvertex b 2 1 -1\nvertex c 1 1 -1\nedge a b 1\nedge b c 3\n"
+
+
+def same_edges(doc: GraphDocument):
+    """The graph of ``doc`` has the edge arrays of a graph built from its lists directly."""
+    g = doc.to_graph()[0]
+    labels, mu = [v[0] for v in doc.vertices], [v[1] for v in doc.vertices]
+    direct = tzgraph.WeightedGraph(labels, mu, doc.edges)
+    names = ("edge_tail", "edge_head", "edge_weight")
+    return all(getattr(g, k).tobytes() == getattr(direct, k).tobytes() for k in names)
+
+
+@pytest.mark.parametrize("edge", [("a", "a", 1.0), ("a", "ghost", -2.0)])
+def test_an_edited_document_checks_an_appended_edge(tmp_path, edge):
+    doc = parse_graph(write(tmp_path, PATH3_LINES))
+    doc.edges.append(edge)
+    with pytest.raises(tzgraph.GraphConstructionError):
+        doc.to_graph()
+
+
+def test_an_edited_document_builds_its_graph_from_its_edges(tmp_path):
+    path = write(tmp_path, PATH3_LINES)
+    appended = parse_graph(path)
+    appended.edges.append(("a", "c", 2.0))
+    assert same_edges(appended) and appended.to_graph()[0].edge_tail.size == 3
+    replaced = parse_graph(path)
+    replaced.edges[0] = ("a", "c", 0.5)
+    assert same_edges(replaced) and replaced.to_graph()[0].neighbors(0) == (2,)
+    reordered = parse_graph(path)
+    reordered.vertices.reverse()
+    g = reordered.to_graph()[0]
+    assert same_edges(reordered) and g.vertex_ids == ("c", "b", "a") and g.neighbors(1) == (0, 2)
+    assert g.neighbors(0) == (1,) and g.edge_weight.tolist() == [1.0, 3.0]
+    assert same_edges(parse_graph(path))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -255,6 +255,24 @@ def test_scalar_agreement_heuristic_vs_proven():
         assert heuristic.degree == proven.degree
 
 
+def scalar_differential_specs():
+    """The ensemble of the test above, then classic instances whose scan leaves the exponent range."""
+    rng = np.random.default_rng(347)
+    rng.uniform(0.5, 2.0)  # the measure of the one-vertex graph
+    for trial in range(200):
+        yield helpers.classic_spec(rng, 1) if trial % 2 == 0 else helpers.generalized_spec(rng, 1)
+    for B in (700.0, 800.0, 1500.0):
+        yield constant_spec(Kind.CLASSIC, 1, 1.0, -1.0, B=B)
+
+
+def test_scalar_roots_match_the_one_bracket_at_a_time_oracle():
+    for spec in scalar_differential_specs():
+        report, oracle = degree_single_vertex(spec), helpers.degree_single_vertex_oracle(spec)
+        assert report.signs == oracle.signs and report.degree == oracle.degree
+        roots, expected = np.concatenate(report.solutions), np.concatenate(oracle.solutions)
+        assert np.all(np.abs(roots - expected) <= 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # homotopy invariance
 

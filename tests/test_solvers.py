@@ -30,7 +30,15 @@ from tzgraph import linalg
 from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
 from tzgraph.errors import ExponentOverflowError, SpecValidationError
-from tzgraph.solvers import _deflated_system, _mean_constant_root, _newton_block, _newton_system
+import tzgraph.solvers
+from tzgraph.solvers import (
+    _bisect,
+    _deflated_system,
+    _mean_constant_root,
+    _negative_crossings,
+    _newton_block,
+    _newton_system,
+)
 
 CFG = SolverConfig()
 
@@ -522,6 +530,70 @@ def test_choose_barriers_mirror_side():
             lambda c, x=x: helpers.pointwise_value(spec, x, c), lo, hi
         )
         assert lo < crossing < hi
+
+
+@pytest.mark.parametrize("A", [400.0, 2000.0])
+def test_mirror_branch_at_large_A(A):
+    # on the negative axis A u is negative, so only -B u can leave the
+    # exponent range, however large A is
+    g = helpers.k2(w=1.5)
+    spec = constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0, A=A, B=1.0)
+    barriers = choose_barriers(spec, g)
+    assert barriers.side == -1
+    lo, hi = barriers.box()
+    for x in range(2):
+        crossing = helpers.bisect_root(lambda c, x=x: helpers.pointwise_value(spec, x, c), lo, hi)
+        assert lo < crossing < hi
+    second = find_two_solutions(spec, g, CFG)[1]
+    assert second.converged and np.all(second.solution < 0.0)
+    assert np.max(np.abs(residual(spec, g, second.solution))) < CFG.tol
+
+
+def test_negative_crossings_match_the_per_vertex_oracle():
+    rng = np.random.default_rng(307)
+    for n in (1, 2, 3, 5, 8, 12):
+        for _ in range(3):
+            g = helpers.random_graph(rng, n)
+            spec = helpers.mirror_spec(rng, n)
+            crossings = _negative_crossings(spec, g)
+            oracle = helpers.negative_crossings_oracle(spec, g)
+            assert np.all(np.abs(crossings - oracle) <= 2.0 * np.finfo(float).eps * np.abs(oracle))
+
+
+def test_barrier_pairs_are_those_of_the_per_vertex_crossings(monkeypatch):
+    rng = np.random.default_rng(311)
+    cases = [(n, helpers.mirror_spec(rng, n)) for n in (1, 2, 3, 5, 8, 12) for _ in range(3)]
+    cases = [(helpers.random_graph(rng, n), spec) for n, spec in cases]
+    pairs = [choose_barriers(spec, g) for g, spec in cases]
+    monkeypatch.setattr(tzgraph.solvers, "_negative_crossings", helpers.negative_crossings_oracle)
+    assert pairs == [choose_barriers(spec, g) for g, spec in cases]
+
+
+def test_bisect_stops_early_with_the_bits_of_200_halvings():
+    rng = np.random.default_rng(313)
+    cubes = rng.uniform(-50.0, 50.0, 40)
+    cubes[0] = 0.125  # on [0, 2] the second midpoint is an exact zero
+    lo, hi = np.full(40, -4.0), np.full(40, 4.0)
+    lo[0], hi[0] = 0.0, 2.0
+    flip = np.where(rng.random(40) < 0.5, -1.0, 1.0)  # half the lanes fall from lo to hi
+    calls = []
+
+    def fun(c):
+        calls.append(1)
+        return flip * (c * c * c - cubes)
+
+    f_lo = fun(lo)
+    roots = _bisect(fun, lo, hi, f_lo)
+    oracle = [
+        helpers.bisect_root(lambda c, i=i: flip[i] * (c * c * c - cubes[i]), lo[i], hi[i])
+        for i in range(40)
+    ]
+    assert roots.tobytes() == np.array(oracle).tobytes()
+    assert roots[0] == 0.5 and len(calls) < 100
+    # one scalar lane, as _mean_constant_root runs it
+    for i in range(40):
+        one = _bisect(lambda c, i=i: flip[i] * (c * c * c - cubes[i]), lo[i], hi[i], f_lo[i])
+        assert float(one) == oracle[i]
 
 
 # ---------------------------------------------------------------------------
