@@ -1,5 +1,7 @@
 """Command line interface: graph files in, machine-readable reports out.
 
+Grammar: ``tzgraph <command> <graph> [flags]``, with flags in any position.
+
 Graph file format (line oriented, ``#`` starts a comment):
 
     vertex <label> <mu> <h1> <h2>
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degree import estimate_degree
+from .degree import _homotopy_degrees, estimate_degree
 from .errors import (
     InputError,
     NoSolutionError,
@@ -63,7 +65,6 @@ from .solvers import (
     find_two_solutions,
     newton,
 )
-from . import degree as degree_mod
 
 SCHEMA_VERSION = 1
 
@@ -289,7 +290,7 @@ def _cmd_solve(spec, g, cfg, args):
     if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
         raise NoSolutionError("integral obstruction: no solution exists")
     if spec.kind is Kind.CLASSIC and box is not None:
-        reports = continuation(spec, g, default_t_grid(), None, cfg)
+        reports = continuation(spec, g, default_t_grid(), cfg)
         report, method, stages = reports[-1], "continuation+newton", len(reports)
     else:
         report, method, stages = newton(spec, g, np.zeros(g.n), cfg), "newton", 1
@@ -410,7 +411,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
         )
 
     if spec.kind is Kind.CLASSIC and float(spec.h2.max()) < 0.0:
-        final = continuation(spec, g, default_t_grid(), None, cfg)[-1]
+        final = continuation(spec, g, default_t_grid(), cfg)[-1]
         direct = newton(spec, g, np.zeros(n), cfg)
         gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
         record(
@@ -418,12 +419,9 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
             direct.converged and gap <= 1e-8,
             f"sup gap {gap:.3e}",
         )
-        d = estimate_degree(spec, g, cfg, n_starts=min(args.starts, 32)).degree
-        record("degree_value", d == 1, f"estimated degree {d}")
-        invariant = degree_mod.verify_homotopy_invariance(
-            spec, g, cfg, n_starts=min(args.starts, 32)
-        )
-        record("homotopy_invariance", invariant, "degrees agree across t in {0, 0.5, 1}")
+        degrees = _homotopy_degrees(spec, g, cfg, (0.0, 0.5, 1.0), min(args.starts, 32))
+        record("degree_value", degrees[0] == 1, f"estimated degree {degrees[0]}")
+        record("homotopy_invariance", len(set(degrees)) == 1, "degrees agree across t in {0, 0.5, 1}")
 
     if spec.kind is Kind.GENERALIZED and float(spec.h2.min()) > 0.0:
         worst = 0.0
@@ -438,22 +436,21 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
             scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
             worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
         record("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}")
-        d = estimate_degree(spec, g, cfg, n_starts=min(args.starts, 48)).degree
-        record("degree_value", d == 0, f"estimated degree {d}")
-        invariant = degree_mod.verify_homotopy_invariance(
-            spec, g, cfg, n_starts=min(args.starts, 48)
-        )
-        record("homotopy_invariance", invariant, "degrees agree across t in {0, 0.5, 1}")
+        # t = 1, the undeformed map that degree_value reports, is enumerated first
+        degrees = _homotopy_degrees(spec, g, cfg, (1.0, 0.5, 0.0), min(args.starts, 48))
+        record("degree_value", degrees[0] == 0, f"estimated degree {degrees[0]}")
+        record("homotopy_invariance", len(set(degrees)) == 1, "degrees agree across t in {0, 0.5, 1}")
 
     return checks
 
 
+# name -> (handler, one-line help); the only list of commands
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "degree": _cmd_degree,
-    "bounds": _cmd_bounds,
-    "multiplicity": _cmd_multiplicity,
-    "check": _cmd_check,
+    "solve": (_cmd_solve, "find one solution"),
+    "degree": (_cmd_degree, "estimate the topological degree"),
+    "bounds": (_cmd_bounds, "report a priori bounds and graph constants"),
+    "multiplicity": (_cmd_multiplicity, "find two distinct solutions"),
+    "check": (_cmd_check, "run the invariant audit"),
 }
 
 
@@ -467,38 +464,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    """One parser for every command: all five take the same graph and flags."""
     parser = _Parser(
         prog="tzgraph",
         description="Solve, bound, and count solutions of Tzitzeica-type equations on weighted graphs.",
+        epilog="commands:\n" + "".join(f"  {name:<14}{line}\n" for name, (_, line) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = _Parser(add_help=False)
-    common.add_argument("graph", help="path to a graph file")
-    common.add_argument(
+    parser.add_argument("command", choices=_COMMANDS, help="what to compute (listed below)")
+    parser.add_argument("graph", help="path to a graph file")
+    parser.add_argument(
         "--equation",
         required=True,
         choices=[k.value for k in Kind],
         help="equation kind",
     )
-    common.add_argument("--A", type=float, required=True, help="exponent A > 0")
-    common.add_argument("--B", type=float, required=True, help="exponent B > 0")
-    common.add_argument("--tol", type=float, default=1e-10, help="residual sup-norm target")
-    common.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
-    common.add_argument("--starts", type=int, default=64, help="multi-start count for degree estimation")
-    common.add_argument("--seed", type=int, default=0, help="start-point sampling seed")
-    common.add_argument("--radius", type=float, default=None, help="override the search ball radius")
-    common.add_argument("--output", default=None, help="write the report here instead of stdout")
-    common.add_argument("--format", choices=["json", "text"], default="json", help="report format")
-    common.add_argument(
+    parser.add_argument("--A", type=float, required=True, help="exponent A > 0")
+    parser.add_argument("--B", type=float, required=True, help="exponent B > 0")
+    parser.add_argument("--tol", type=float, default=1e-10, help="residual sup-norm target")
+    parser.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
+    parser.add_argument("--starts", type=int, default=64, help="multi-start count for degree estimation")
+    parser.add_argument("--seed", type=int, default=0, help="start-point sampling seed")
+    parser.add_argument("--radius", type=float, default=None, help="override the search ball radius")
+    parser.add_argument("--output", default=None, help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=["json", "text"], default="json", help="report format")
+    parser.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit timestamp and wall time for reproducible diffs",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subparsers.add_parser("solve", parents=[common], help="find one solution")
-    subparsers.add_parser("degree", parents=[common], help="estimate the topological degree")
-    subparsers.add_parser("bounds", parents=[common], help="report a priori bounds and graph constants")
-    subparsers.add_parser("multiplicity", parents=[common], help="find two distinct solutions")
-    subparsers.add_parser("check", parents=[common], help="run the invariant audit")
     return parser
 
 
@@ -516,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         g, h1, h2 = doc.to_graph()
         spec = ProblemSpec(Kind(args.equation), h1, h2, args.A, args.B)
         cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-        result, box, exit_code = _COMMANDS[args.command](spec, g, cfg, args)
+        result, box, exit_code = _COMMANDS[args.command][0](spec, g, cfg, args)
     except InputError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2

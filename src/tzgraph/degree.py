@@ -318,20 +318,13 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     )
 
 
-def verify_homotopy_invariance(
-    spec: ProblemSpec,
-    g: WeightedGraph,
-    cfg: SolverConfig = SolverConfig(),
-    t_values: Sequence[float] = (0.0, 0.5, 1.0),
-    n_starts: int = 64,
-) -> bool:
-    """True when the estimated degree of the deformed map agrees at every t.
+def _homotopy_degrees(
+    spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, t_values: Sequence[float], n_starts: int
+) -> list[int]:
+    """Estimated degree of the deformed map at each t, in the order given.
 
-    Classic: each deformation member is itself a classic equation with
-    shifted coefficients and a negative second coefficient, so each stage
-    gets its own valid a priori ball.  Generalized: all stages share the
-    single t-uniform ball; the t = 0 member has a strictly positive
-    pointwise part for every field, so its degree is 0 with no search.
+    Classic at t = 0 and generalized at t = 1 are the undeformed map, with
+    the ball ``estimate_degree`` uses, so those entries are its degree.
     """
     _check_search(None, n_starts)
     degrees: list[int] = []
@@ -347,7 +340,7 @@ def verify_homotopy_invariance(
                 spec.B,
             )
             degrees.append(estimate_degree(shifted, g, cfg, n_starts).degree)
-        return len(set(degrees)) == 1
+        return degrees
 
     if np.any(spec.h2 <= 0.0):
         raise BoundsInapplicableError(
@@ -361,4 +354,22 @@ def verify_homotopy_invariance(
             continue
         _, signs, _ = _enumerate_signed_roots(spec, g, HomotopyParams(t), ball, cfg, n_starts)
         degrees.append(int(sum(signs)))
-    return len(set(degrees)) == 1
+    return degrees
+
+
+def verify_homotopy_invariance(
+    spec: ProblemSpec,
+    g: WeightedGraph,
+    cfg: SolverConfig = SolverConfig(),
+    t_values: Sequence[float] = (0.0, 0.5, 1.0),
+    n_starts: int = 64,
+) -> bool:
+    """True when the estimated degree of the deformed map agrees at every t.
+
+    Classic: each deformation member is itself a classic equation with
+    shifted coefficients and a negative second coefficient, so each stage
+    gets its own valid a priori ball.  Generalized: all stages share the
+    single t-uniform ball; the t = 0 member has a strictly positive
+    pointwise part for every field, so its degree is 0 with no search.
+    """
+    return len(set(_homotopy_degrees(spec, g, cfg, t_values, n_starts))) == 1

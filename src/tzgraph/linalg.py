@@ -22,8 +22,8 @@ class LUFactors:
     singular: bool
 
 
-def lu_factor(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
-    """Factor a square matrix; singular when its condition number is at least 1/pivot_rtol."""
+def lu_factor(a: np.ndarray) -> LUFactors:
+    """Factor a square matrix; singular when its condition number is at least 1/PIVOT_RTOL."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -33,10 +33,10 @@ def lu_factor(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> LUFactors:
         return LUFactors(None, True)
     # Python floats: an overflowing product is inf, without a warning
     kappa = float(np.abs(a).sum(axis=0).max()) * float(np.abs(inverse).sum(axis=0).max())
-    return LUFactors(inverse, not kappa * pivot_rtol < 1.0)
+    return LUFactors(inverse, not kappa * PIVOT_RTOL < 1.0)
 
 
-def inverse_block(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def inverse_block(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a ``(k, n, n)`` stack, with ``lu_factor``'s bits, and which are singular."""
     try:
         inverse = np.linalg.inv(a)
@@ -48,7 +48,7 @@ def inverse_block(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> tuple[np.nda
             except np.linalg.LinAlgError:
                 pass
     kappa = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
-    return inverse, ~(kappa * pivot_rtol < 1.0)
+    return inverse, ~(kappa * PIVOT_RTOL < 1.0)
 
 
 def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
@@ -58,9 +58,9 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     return factors.inverse @ np.asarray(b, dtype=float)
 
 
-def det_sign(a: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> int:
+def det_sign(a: np.ndarray) -> int:
     """Sign of det(A): +1, -1, or 0 when numerically singular."""
-    if lu_factor(a, pivot_rtol).singular:
+    if lu_factor(a).singular:
         return 0
     return int(np.linalg.slogdet(a)[0])
 

@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
+# backtracking multiplies a step length by _SHRINK and gives up below _MIN_STEP
+_SHRINK = 0.5
+_MIN_STEP = 2.0**-30
 _MAX_BISECT_DEPTH = 10  # stage halving cap: effective grid of 2**10 points
 _BARRIER_SEARCH_STEPS = 60
 
@@ -67,20 +70,14 @@ class SolverConfig:
 
     tol: float = 1e-10
     max_iter: int = 200
-    shrink: float = 0.5
-    min_step: float = 2.0**-30
     deflation_radius: float = 5e-6
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise SpecValidationError("tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise SpecValidationError("shrink factor must lie in (0, 1)")
+        if not 0.0 < self.tol < math.inf:
+            raise SpecValidationError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise SpecValidationError("max_iter must be at least 1")
-        if not self.min_step > 0.0:
-            raise SpecValidationError("min_step must be positive")
         if not self.deflation_radius > 0.0:
             raise SpecValidationError("deflation_radius must be positive")
         if self.seed < 0:
@@ -203,7 +200,7 @@ def _newton_system(
             phi0 = float(np.dot(scale * r, scale * r))
             alpha = 1.0
             accepted = False
-            while alpha >= cfg.min_step:
+            while alpha >= _MIN_STEP:
                 trial = u + alpha * step
                 try:
                     r_trial = fun(trial)
@@ -217,10 +214,10 @@ def _newton_system(
                         break
                 # the full and half steps are always tried; after that, resume
                 # near the previously accepted length instead of re-walking down
-                if alpha == cfg.shrink and 2.0 * prev_alpha < alpha * cfg.shrink:
+                if alpha == _SHRINK and 2.0 * prev_alpha < alpha * _SHRINK:
                     alpha = 2.0 * prev_alpha
                 else:
-                    alpha *= cfg.shrink
+                    alpha *= _SHRINK
             if not accepted:
                 failed = True
                 break
@@ -385,19 +382,19 @@ def _newton_block(
                 a, twice = alpha[search], 2.0 * prev_alpha[rows[search]]
                 for j in range(width):  # 1 and shrink, then on from near the last accepted length
                     lengths[:, j] = a
-                    a = np.where((a == cfg.shrink) & (twice < a * cfg.shrink), twice, a * cfg.shrink)
+                    a = np.where((a == _SHRINK) & (twice < a * _SHRINK), twice, a * _SHRINK)
                 alpha[search] = a
                 at, lengths = np.repeat(search, width), lengths.ravel()
                 trial = u[rows[at]] + lengths[:, None] * step[at]
                 r_trial = deflated(trial)
                 scaled = scale[at, None] * r_trial
                 armijo = (1.0 - 2.0 * _ARMIJO * lengths) * phi0[at]
-                ok = np.flatnonzero((_row_dots(scaled, scaled) <= armijo) & (lengths >= cfg.min_step))
+                ok = np.flatnonzero((_row_dots(scaled, scaled) <= armijo) & (lengths >= _MIN_STEP))
                 if width > 1:  # the first length that passes, per row
                     ok = ok[np.unique(at[ok], return_index=True)[1]]
                 took = rows[at[ok]]
                 u[took], r[took], taken[at[ok]] = trial[ok], r_trial[ok], lengths[ok]
-                search = search[(taken[search] == 0.0) & (alpha[search] >= cfg.min_step)]
+                search = search[(taken[search] == 0.0) & (alpha[search] >= _MIN_STEP)]
                 width *= 2
             ending[rows[taken == 0.0]] = True
             took = rows[taken > 0.0]
@@ -452,7 +449,6 @@ def continuation(
     spec: ProblemSpec,
     g: WeightedGraph,
     t_grid: Sequence[float],
-    hp_eps: float | None = None,
     cfg: SolverConfig = SolverConfig(),
 ) -> list[SolveReport]:
     """Track the deformed equation from t = 1 down to t = 0.
@@ -470,9 +466,7 @@ def continuation(
     if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0.0):
         raise SpecValidationError("t_grid must decrease strictly from 1 to 0")
 
-    eps: float | None = None
-    if spec.kind is Kind.CLASSIC:
-        eps = float(hp_eps) if hp_eps is not None else default_epsilon(spec)
+    eps = default_epsilon(spec) if spec.kind is Kind.CLASSIC else None
 
     def solve_at(t: float, start: np.ndarray) -> SolveReport:
         return _newton_system(*_kernels(spec, g, HomotopyParams(float(t), eps)), start, cfg)
@@ -685,22 +679,22 @@ def minimize_box(
 
         a = alpha
         accepted = False
-        while a >= cfg.min_step:
+        while a >= _MIN_STEP:
             trial = np.clip(u - a * grad, lo, hi)
             direction = trial - u
             if not np.any(direction):
-                a *= cfg.shrink
+                a *= _SHRINK
                 continue
             try:
                 j_trial = energy_of(trial)
             except ExponentOverflowError:
-                a *= cfg.shrink
+                a *= _SHRINK
                 continue
             decrease = float(np.dot(mu * grad, direction))
             if j_trial <= j_val + _ARMIJO * decrease + noise_floor * (1.0 + abs(j_val)):
                 accepted = True
                 break
-            a *= cfg.shrink
+            a *= _SHRINK
         if not accepted:
             status = "stalled"
             break

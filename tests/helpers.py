@@ -27,7 +27,7 @@ from tzgraph import (
     linalg,
     residual,
 )
-from tzgraph.cli import GraphDocument
+from tzgraph.cli import GraphDocument, _Parser
 from tzgraph.errors import (
     DegenerateRootError,
     DisconnectedGraphError,
@@ -35,7 +35,16 @@ from tzgraph.errors import (
     GraphConstructionError,
     ParseError,
 )
-from tzgraph.solvers import _ARMIJO, SolveReport, SolverConfig, _deflated_system, _freeze, _safe_eval
+from tzgraph.solvers import (
+    _ARMIJO,
+    _MIN_STEP,
+    _SHRINK,
+    SolveReport,
+    SolverConfig,
+    _deflated_system,
+    _freeze,
+    _safe_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +529,7 @@ def newton_system_oracle(
             phi0 = float(np.dot(scale * r, scale * r))
             alpha = 1.0
             accepted = False
-            while alpha >= cfg.min_step:
+            while alpha >= _MIN_STEP:
                 trial = u + alpha * step
                 try:
                     r_trial = fun(trial)
@@ -534,10 +543,10 @@ def newton_system_oracle(
                         break
                 # the full and half steps are always tried; after that, resume
                 # near the previously accepted length instead of re-walking down
-                if alpha == cfg.shrink and 2.0 * prev_alpha < alpha * cfg.shrink:
+                if alpha == _SHRINK and 2.0 * prev_alpha < alpha * _SHRINK:
                     alpha = 2.0 * prev_alpha
                 else:
-                    alpha *= cfg.shrink
+                    alpha *= _SHRINK
             if not accepted:
                 failed = True
                 break
@@ -941,3 +950,40 @@ def degree_single_vertex_oracle(spec: ProblemSpec) -> degree.DegreeReport:
     return degree.DegreeReport(
         solutions, tuple(signs), int(sum(signs)), box.radius, 0, degree.Confidence.PROVEN
     )
+
+
+def build_parser_oracle() -> _Parser:
+    """The CLI parser as a tree: a top parser, a parent of shared flags, one subparser per command."""
+    parser = _Parser(
+        prog="tzgraph",
+        description="Solve, bound, and count solutions of Tzitzeica-type equations on weighted graphs.",
+    )
+    common = _Parser(add_help=False)
+    common.add_argument("graph", help="path to a graph file")
+    common.add_argument(
+        "--equation",
+        required=True,
+        choices=[k.value for k in Kind],
+        help="equation kind",
+    )
+    common.add_argument("--A", type=float, required=True, help="exponent A > 0")
+    common.add_argument("--B", type=float, required=True, help="exponent B > 0")
+    common.add_argument("--tol", type=float, default=1e-10, help="residual sup-norm target")
+    common.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
+    common.add_argument("--starts", type=int, default=64, help="multi-start count for degree estimation")
+    common.add_argument("--seed", type=int, default=0, help="start-point sampling seed")
+    common.add_argument("--radius", type=float, default=None, help="override the search ball radius")
+    common.add_argument("--output", default=None, help="write the report here instead of stdout")
+    common.add_argument("--format", choices=["json", "text"], default="json", help="report format")
+    common.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit timestamp and wall time for reproducible diffs",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    subparsers.add_parser("solve", parents=[common], help="find one solution")
+    subparsers.add_parser("degree", parents=[common], help="estimate the topological degree")
+    subparsers.add_parser("bounds", parents=[common], help="report a priori bounds and graph constants")
+    subparsers.add_parser("multiplicity", parents=[common], help="find two distinct solutions")
+    subparsers.add_parser("check", parents=[common], help="run the invariant audit")
+    return parser

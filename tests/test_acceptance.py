@@ -69,7 +69,7 @@ def test_criterion_1_existence_branch():
         spec = helpers.classic_spec(rng, n)
         box = bounds_classic(spec)
 
-        reports = continuation(spec, g, default_t_grid(), None, CFG)
+        reports = continuation(spec, g, default_t_grid(), CFG)
         final = reports[-1]
         assert final.converged and final.residual_norm < 1e-10
         assert box.contains(final.solution, slack=1e-8)
@@ -201,7 +201,7 @@ def test_criterion_6_homotopy_uniform_bounds():
         spec = helpers.generalized_spec(rng, n)
         box = bounds_generalized(spec, g)
         with pytest.raises(ContinuationBrokenError) as info:
-            continuation(spec, g, default_t_grid(11), None, CFG)
+            continuation(spec, g, default_t_grid(11), CFG)
         for report in info.value.reports:
             assert report.converged
             assert box.contains(report.solution, slack=1e-8)

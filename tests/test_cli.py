@@ -1,5 +1,6 @@
-"""File format, report rendering, exit codes, and robustness."""
+"""File format, argument parsing, report rendering, exit codes, and robustness."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 
 import helpers
 import tzgraph
-from tzgraph import SolverConfig, estimate_degree
+from tzgraph import SolverConfig, degree, estimate_degree
 from tzgraph.cli import (
     GraphDocument,
+    UsageError,
+    build_parser,
     canonical_json,
     canonical_text,
     format_graph,
@@ -23,6 +26,8 @@ from tzgraph.cli import (
 from tzgraph.errors import ParseError
 
 K2_LINES = "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a b 1\n"
+K2_GENERALIZED_LINES = "vertex a 1 1 1\nvertex b 2 0.5 1\nedge a b 1\n"
+COMMANDS = ("solve", "degree", "bounds", "multiplicity", "check")
 
 
 def write(tmp_path, text, name="g.graph"):
@@ -222,6 +227,82 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _parse(parser, argv):
+    """The parsed namespace as a dict, or the usage error text."""
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+
+
+# the argv shapes the benchmark sends, with every flag spelled out once
+_FLAGS = ["--equation", "generalized", "--A", "0.75", "--B", "1.25", "--no-timestamp"]
+VALID_ARGVS = [
+    *([kind, "g.graph", *_FLAGS] for kind in ("solve", "bounds", "multiplicity")),
+    *([kind, "g.graph", *_FLAGS, "--starts", "48"] for kind in ("degree", "check")),
+    ["degree", "--equation", "classic", "g.graph", "--A", "1", "--B", "1"],
+    ["solve", "g.graph", "--equation", "classic", "--A", "1", "--B", "-2", "--tol", "1e-8",
+     "--max-iter", "50", "--seed", "3", "--radius", "2.5", "--output", "r.json", "--format", "text"],
+]
+INVALID_ARGVS = [
+    ["bogus", "g.graph", *_FLAGS],
+    ["degree", "g.graph", "--equation", "bogus", "--A", "1", "--B", "1"],
+    ["degree", "g.graph", "--equation", "classic", "--A", "1", "--B", "1", "--starts", "1.5"],
+    ["degree", "g.graph", "--equation", "classic", "--B", "1"],
+    ["degree", "--equation", "classic", "--A", "1", "--B", "1"],
+    ["degree", "g.graph", "extra", *_FLAGS],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS)
+def test_parser_gives_the_subparser_tree_namespace(argv):
+    namespace = _parse(build_parser(), argv)
+    assert isinstance(namespace, dict)
+    assert namespace == _parse(helpers.build_parser_oracle(), argv)
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
+def test_parser_gives_the_subparser_tree_error(argv):
+    message = _parse(build_parser(), argv)
+    assert isinstance(message, str)
+    assert message == _parse(helpers.build_parser_oracle(), argv)
+
+
+def test_parser_differs_from_the_subparser_tree_only_where_intended():
+    oracle = helpers.build_parser_oracle()
+    # an empty argv lists every missing required argument, not just the command
+    assert _parse(oracle, []) == "the following arguments are required: command"
+    assert _parse(build_parser(), []) == (
+        "the following arguments are required: command, graph, --equation, --A, --B"
+    )
+    # flags may come before the command
+    early = [*_FLAGS, "degree", "g.graph"]
+    assert _parse(build_parser(), early) == _parse(oracle, ["degree", "g.graph", *_FLAGS])
+    assert isinstance(_parse(oracle, early), str)
+
+
+def test_parser_is_flat():
+    parser = build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    command = next(a for a in parser._actions if a.dest == "command")
+    assert tuple(command.choices) == COMMANDS
+
+
+def test_help_lists_every_command():
+    src = str(Path(tzgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "tzgraph", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    listed = result.stdout.split("\ncommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in listed] == list(COMMANDS)
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "vertex a 1 1 -1\nvertex b 1 1 -1\n")  # disconnected
     code, _, err = run(
@@ -251,6 +332,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
         (K2_LINES, ["check", "--A", "1", "--B", "1", "--starts", "0"]),
         (K2_LINES, ["degree", "--A", "1", "--B", "1", "--seed", "-1"]),
         (K2_LINES, ["check", "--A", "1", "--B", "1", "--seed", "-1"]),
+        (K2_LINES, ["solve", "--A", "1", "--B", "1", "--tol", "inf"]),
     ],
 )
 def test_bad_numbers_are_validation_errors(tmp_path, capsys, lines, argv):
@@ -343,6 +425,31 @@ def test_check_command_passes(tmp_path, capsys):
         "jacobian_fd",
         "homotopy_invariance",
     }
+
+
+@pytest.mark.parametrize(
+    "equation,lines,enumerations",
+    [("classic", K2_LINES, 3), ("generalized", K2_GENERALIZED_LINES, 2)],
+)
+def test_check_enumerates_each_deformation_member_once(
+    tmp_path, capsys, monkeypatch, equation, lines, enumerations
+):
+    # classic: t = 0, 0.5, 1, where t = 0 gives degree_value; generalized:
+    # t = 1 (which gives degree_value) and 0.5, with t = 0 known to be 0
+    enumerate_roots, calls = degree._enumerate_signed_roots, []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_roots(*args)
+
+    monkeypatch.setattr(degree, "_enumerate_signed_roots", counted)
+    path = write(tmp_path, lines)
+    code, out, _ = run(
+        capsys,
+        ["check", path, "--equation", equation, "--A", "1", "--B", "1", "--no-timestamp", "--starts", "16"],
+    )
+    assert code == 0 and json.loads(out)["result"]["all_passed"] is True
+    assert len(calls) == enumerations
 
 
 def test_report_values_rederive_via_api(tmp_path, capsys):

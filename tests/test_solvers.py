@@ -451,7 +451,7 @@ def test_continuation_classic_endpoint_and_agreement():
     data = helpers.random_graph_data(rng, 4)
     g = helpers.build_graph(data)
     spec = helpers.classic_spec(rng, 4)
-    reports = continuation(spec, g, default_t_grid(), None, CFG)
+    reports = continuation(spec, g, default_t_grid(), CFG)
     assert len(reports) == 21
     # t = 1 member has the unique solution zero
     assert np.max(np.abs(reports[0].solution)) < 1e-10
@@ -466,7 +466,7 @@ def test_continuation_generalized_breaks_before_t0():
     spec = helpers.generalized_spec(rng, 3)
     box = bounds_generalized(spec, g)
     with pytest.raises(ContinuationBrokenError) as info:
-        continuation(spec, g, default_t_grid(11), None, CFG)
+        continuation(spec, g, default_t_grid(11), CFG)
     err = info.value
     assert 0.0 <= err.t_failed < 1.0
     assert err.reports, "at least the t=1 stage must have solved"
@@ -480,7 +480,7 @@ def test_continuation_rejects_bad_grids():
     spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
     for grid in ([0.0, 1.0], [1.0, 0.5], [1.0, 0.5, 0.5, 0.0], [1.0]):
         with pytest.raises(Exception):
-            continuation(spec, g, grid, None, CFG)
+            continuation(spec, g, grid, CFG)
 
 
 # ---------------------------------------------------------------------------
