@@ -462,6 +462,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def exit(self, status=0, message=None):  # after --help, the only other way out
+        raise _HelpShown(status)
+
+
+class _HelpShown(Exception):
+    """Raised instead of argparse's SystemExit once --help has printed."""
+
 
 def build_parser() -> _Parser:
     """One parser for every command: all five take the same graph and flags."""
@@ -503,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
+    except _HelpShown as exc:
+        return exc.args[0]
 
     start_time = time.perf_counter()
     try:

@@ -5,7 +5,8 @@ solution equals the sum of Jacobian determinant signs over the
 (nondegenerate) zeros inside it.  On multi-vertex graphs the zeros are
 enumerated heuristically: deflated Newton runs from low-discrepancy start
 points, each certified root repels subsequent runs, and the signed count
-is reported together with an honesty marker.  A block of starts runs in
+is reported together with an honesty marker.  The starts form one queue,
+each root's probes joining it as the root is certified, and run in
 lockstep (``solvers._newton_block``), each with the bits of its own run; a
 start whose run ends at a zero is run again alone to certify the root, and
 the starts after it are screened again with that root known.  On a single
@@ -112,24 +113,44 @@ def _enumerate_signed_roots(
     constant offsets, plus a ladder of offsets along the near-singular
     eigendirection of the root's Jacobian, which is where an annihilation
     partner hides near a fold.  Returns the roots, their determinant
-    signs, and the number of Newton runs spent.  Wave one and the probes of
-    each root are each screened as one block (``solvers._newton_block``).
+    signs, and the number of Newton runs spent.  Both waves form one queue:
+    each root's probes join its end as the root is certified, and
+    ``solvers._newton_block`` screens the queue on twice as many lanes as
+    wave one has starts, so wave one and the first probes run together.
     """
     fun, jac_fun = _kernels(spec, g, hp)
     block_fun, block_jac = _kernels(spec, g, hp, block=True)
     dim = g.n
-    starts = [np.zeros(dim)]
+    queue = [np.zeros(dim)]
     if n_starts > 1:
         points = linalg.halton_ball(dim, n_starts - 1, radius, cfg.seed)
-        starts.extend(p * _START_SCALES[i % len(_START_SCALES)] for i, p in enumerate(points))
+        queue.extend(p * _START_SCALES[i % len(_START_SCALES)] for i, p in enumerate(points))
+    lanes = 2 * len(queue)
     escape = max(8.0 * radius, 10.0)
     # enumeration runs are throwaway probes: converging runs need far fewer
     # than the configured solver budget, so failing ones get cut off sooner
     run_cfg = replace(cfg, max_iter=min(cfg.max_iter, 60))
     roots: list[np.ndarray] = []
     signs: list[int] = []
-    runs = 0
-    probe_queue: list[np.ndarray] = []
+
+    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
+    for x in range(dim):
+        bump = np.zeros(dim)
+        bump[x] = 1.0
+        offsets.extend((bump, -bump))
+    unique = {tuple(o) for o in offsets}
+    offsets = [np.array(o) for o in sorted(unique)]
+    distances = [4.0 * DEDUP_RADIUS] + [s * radius for s in _FOLD_RELATIVE_SCALES]
+
+    def fold_direction(center: np.ndarray) -> np.ndarray | None:
+        try:
+            jac = np.asarray(jac_fun(center), dtype=float)
+            eigenvalues, eigenvectors = np.linalg.eig(jac)
+        except (ExponentOverflowError, np.linalg.LinAlgError):
+            return None
+        vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
+        peak = float(np.maximum.reduce(np.abs(vector)))
+        return vector / peak if peak > 0.0 else None
 
     def certify(start: np.ndarray) -> None:
         dfun, jac, step_scale = _deflated_system(fun, jac_fun, roots)
@@ -153,7 +174,7 @@ def _enumerate_signed_roots(
                 if closest > cfg.deflation_radius:
                     warnings.warn(
                         f"two roots within {closest:.2e} sup-distance merged",
-                        stacklevel=4,
+                        stacklevel=3,
                     )
                 return
         sign = report.jac_sign
@@ -166,48 +187,18 @@ def _enumerate_signed_roots(
             )
         roots.append(u)
         signs.append(sign)
-        probe_queue.append(u)
+        if len(roots) <= _MAX_PROBED_ROOTS:
+            queue.extend(u + scale * radius * offset for scale in _PROBE_SCALES for offset in offsets)
+            direction = fold_direction(u)
+            if direction is not None:
+                queue.extend(u + side * d * direction for d in distances for side in (1.0, -1.0))
 
-    def run_block(block: list[np.ndarray]) -> None:
-        nonlocal runs
-        pending = np.array(block)
-        while len(pending):
-            passed = _newton_block(block_fun, block_jac, pending, run_cfg, roots, escape)[2]
-            runs += len(passed)
-            if passed[-1]:
-                certify(pending[len(passed) - 1])
-            pending = pending[len(passed) :]
-
-    run_block(starts)
-
-    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
-    for x in range(dim):
-        bump = np.zeros(dim)
-        bump[x] = 1.0
-        offsets.extend((bump, -bump))
-    unique = {tuple(o) for o in offsets}
-    offsets = [np.array(o) for o in sorted(unique)]
-    distances = [4.0 * DEDUP_RADIUS] + [s * radius for s in _FOLD_RELATIVE_SCALES]
-
-    def fold_direction(center: np.ndarray) -> np.ndarray | None:
-        try:
-            jac = np.asarray(jac_fun(center), dtype=float)
-            eigenvalues, eigenvectors = np.linalg.eig(jac)
-        except (ExponentOverflowError, np.linalg.LinAlgError):
-            return None
-        vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
-        peak = float(np.maximum.reduce(np.abs(vector)))
-        return vector / peak if peak > 0.0 else None
-
-    probed = 0
-    while probe_queue and probed < _MAX_PROBED_ROOTS:
-        center = probe_queue.pop(0)
-        probed += 1
-        probes = [center + scale * radius * offset for scale in _PROBE_SCALES for offset in offsets]
-        direction = fold_direction(center)
-        if direction is not None:
-            probes += [center + side * d * direction for d in distances for side in (1.0, -1.0)]
-        run_block(probes)
+    runs = 0
+    while runs < len(queue):
+        passed = _newton_block(block_fun, block_jac, np.array(queue[runs:]), run_cfg, roots, escape, lanes)[2]
+        runs += len(passed)
+        if passed[-1]:
+            certify(queue[runs - 1])
     return roots, signs, runs
 
 

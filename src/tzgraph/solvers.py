@@ -60,6 +60,9 @@ _ARMIJO = 1e-4
 # backtracking multiplies a step length by _SHRINK and gives up below _MIN_STEP
 _SHRINK = 0.5
 _MIN_STEP = 2.0**-30
+# after the lengths 1 and _SHRINK, backtracking goes on from a power of two
+# at most _SHRINK**2; these are its factors down to _MIN_STEP
+_BACKTRACK = np.ldexp(1.0, -np.arange(29))
 _MAX_BISECT_DEPTH = 10  # stage halving cap: effective grid of 2**10 points
 _BARRIER_SEARCH_STEPS = 60
 
@@ -312,90 +315,104 @@ def _newton_block(
     cfg: SolverConfig,
     known: Sequence[np.ndarray],
     escape_radius: float,
+    lanes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep screen of a ``(k, n)`` block of starts for deflated Newton, on block kernels.
+    """Lockstep screen of a ``(k, n)`` queue of starts for deflated Newton, on block kernels.
 
     Row ``i`` makes, bit for bit, the run ``_newton_system`` makes from ``starts[i]`` on
     ``_deflated_system(..., known)`` with ``true_fun`` and ``escape_radius``.  A row passes if
-    its run ends with the undeflated residual below ``cfg.tol``.  The root of the first row
-    that passes would deflate the rows after it, so they stop: returns the final iterates,
-    iteration counts and pass flags of the rows up to that one, or of all rows.
+    its run ends with the undeflated residual below ``cfg.tol``.  At most ``lanes`` rows step
+    at once: the first ones, in order, still running, so a row starts when one before it ends.
+    The root of the first row that passes would deflate the rows after it, so they stop:
+    returns the final iterates, iteration counts and pass flags of the rows up to that one,
+    or of all rows.
     """
     u = np.array(starts, dtype=float)
     k, n = u.shape
     roots = np.reshape(known, (len(known), n))
-    iterations, stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    # at each row's iterate: the deflated and the undeflated residual, the
+    # multiplier and the d_k, kept from the evaluation that reached it
+    r, value, factor, d2 = np.empty((k, n)), np.empty((k, n)), np.empty(k), np.empty((k, len(roots)))
+    norm, iterations, stalled = np.empty(k), np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     prev_alpha, passed = np.ones(k), np.zeros(k, dtype=bool)
-
-    def deflation(x):
-        """Per row: the multiplier (infinite where ``d_k = 0``), the ``x - u_k`` and the ``d_k``."""
-        diff = x[:, None, :] - roots
-        d2 = _row_dots(diff, diff)
-        factor = np.ones(len(x))
-        for d2_root in d2.T:
-            factor *= 1.0 + 1.0 / d2_root
-        return factor, diff, d2
+    # ending: leaving the loop other than by an early return; rows from started on have not run
+    running, ending, started = np.ones(k, dtype=bool), np.zeros(k, dtype=bool), 0
 
     def deflated(x):
-        value = fun(x)
-        return deflation(x)[0][:, None] * value if len(roots) else value
+        """Per row: ``M F``, ``F``, the multiplier ``M`` (infinite where a ``d_k = 0``) and the ``d_k``."""
+        f = fun(x)
+        diff = x[:, None, :] - roots
+        dist = _row_dots(diff, diff)
+        mult = np.ones(len(x))
+        for d2_root in dist.T:
+            mult *= 1.0 + 1.0 / d2_root
+        return (mult[:, None] * f if len(roots) else f), f, mult, dist
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = deflated(u)
-        norm = np.maximum.reduce(np.abs(r), axis=1)
-        live = np.isfinite(r).all(axis=1)
-        ending = live & (norm < cfg.tol)  # leaving the loop, other than by an early return
         while True:
-            live &= ~ending
             if ending.any():
                 done = np.flatnonzero(ending)
-                passed[done] = np.maximum.reduce(np.abs(fun(u[done])), axis=1) < cfg.tol
-                ending[:] = False
+                passed[done] = np.maximum.reduce(np.abs(value[done]), axis=1) < cfg.tol
+                running[done] = ending[done] = False
                 if passed.any():
-                    live[np.argmax(passed) + 1 :] = False
-            rows = np.flatnonzero(live)
+                    running[np.argmax(passed) + 1 :] = False
+            rows = np.flatnonzero(running)[:lanes]
             if not rows.size:
                 break
-            live[rows] = False  # until the row takes a step
+            if rows[-1] >= started:  # rows entering the lanes: residuals at their starts
+                fresh = np.arange(started, rows[-1] + 1)
+                started = rows[-1] + 1
+                r[fresh], value[fresh], factor[fresh], d2[fresh] = deflated(u[fresh])
+                norm[fresh] = np.maximum.reduce(np.abs(r[fresh]), axis=1)
+                finite = np.isfinite(r[fresh]).all(axis=1)
+                running[fresh[~finite]] = False
+                ending[fresh[finite & (norm[fresh] < cfg.tol)]] = True
+                continue
             jac = jac_fun(u[rows])
             bad = ~np.isfinite(jac).all(axis=(1, 2))
             ending[rows[bad]] = True
             inverse, singular = linalg.inverse_block(jac[~bad])
+            running[rows[~bad][singular]] = False
             rows = rows[~bad][~singular]
             step = (inverse[~singular] @ -r[rows][:, :, None])[:, :, 0]
-            factor, diff, d2 = deflation(u[rows])
             slope = np.zeros(rows.size)
-            for dots, d2_root in zip(_row_dots(diff, step[:, None, :]).T, d2.T):
-                slope += -2.0 * dots / (d2_root * d2_root + d2_root)
-            divisor = factor - slope
+            dots = _row_dots(u[rows][:, None, :] - roots, step[:, None, :])
+            for dots_root, d2_root in zip(dots.T, d2[rows].T):
+                slope += -2.0 * dots_root / (d2_root * d2_root + d2_root)
+            divisor = factor[rows] - slope
             fine = (divisor != 0.0) & np.isfinite(divisor)
+            running[rows[~fine]] = False
             rows, step = rows[fine], step[fine] / divisor[fine, None]
             scale = np.ldexp(1.0, -np.frexp(norm[rows])[1])
             scaled = scale[:, None] * r[rows]
             phi0 = _row_dots(scaled, scaled)
-            # Armijo backtracking: each round tries the next ``width`` step
-            # lengths of a row at once, and the row takes the first that passes
-            alpha, taken = np.ones(rows.size), np.zeros(rows.size)
-            search, width = np.arange(rows.size), 1
-            while search.size:
-                lengths = np.empty((search.size, width))
-                a, twice = alpha[search], 2.0 * prev_alpha[rows[search]]
-                for j in range(width):  # 1 and shrink, then on from near the last accepted length
-                    lengths[:, j] = a
-                    a = np.where((a == _SHRINK) & (twice < a * _SHRINK), twice, a * _SHRINK)
-                alpha[search] = a
-                at, lengths = np.repeat(search, width), lengths.ravel()
-                trial = u[rows[at]] + lengths[:, None] * step[at]
-                r_trial = deflated(trial)
-                scaled = scale[at, None] * r_trial
-                armijo = (1.0 - 2.0 * _ARMIJO * lengths) * phi0[at]
-                ok = np.flatnonzero((_row_dots(scaled, scaled) <= armijo) & (lengths >= _MIN_STEP))
-                if width > 1:  # the first length that passes, per row
-                    ok = ok[np.unique(at[ok], return_index=True)[1]]
-                took = rows[at[ok]]
-                u[took], r[took], taken[at[ok]] = trial[ok], r_trial[ok], lengths[ok]
-                search = search[(taken[search] == 0.0) & (alpha[search] >= _MIN_STEP)]
-                width *= 2
+            # Armijo backtracking over each row's lengths: 1 and shrink, then on
+            # from near its last accepted length, all powers of two.  Rounds try
+            # the next 1, 2, 4, 8 and 16 lengths of a row at once, and the row
+            # takes the first that passes
+            base = np.minimum(2.0 * prev_alpha[rows], _SHRINK * _SHRINK)
+            ladder = np.column_stack((np.ones(rows.size), np.full(rows.size, _SHRINK), base[:, None] * _BACKTRACK))
+            taken, search, first = np.zeros(rows.size), np.arange(rows.size), 0
+            while first < ladder.shape[1]:
+                search = search[ladder[search, first] >= _MIN_STEP]
+                if not search.size:
+                    break
+                lengths = ladder[search, first : 2 * first + 1]
+                at, col = np.nonzero(lengths >= _MIN_STEP)
+                length, row = lengths[at, col], search[at]
+                trial = u[rows[row]] + length[:, None] * step[row]
+                r_trial, value_trial, factor_trial, d2_trial = deflated(trial)
+                scaled = scale[row, None] * r_trial
+                ok = np.zeros(lengths.shape, dtype=bool)
+                ok[at, col] = _row_dots(scaled, scaled) <= (1.0 - 2.0 * _ARMIJO * length) * phi0[row]
+                hit = ok.any(axis=1)
+                trial_of = np.zeros(lengths.shape, dtype=int)
+                trial_of[at, col] = np.arange(at.size)
+                pick = trial_of[hit, np.argmax(ok[hit], axis=1)]
+                took = rows[row[pick]]
+                u[took], r[took], value[took] = trial[pick], r_trial[pick], value_trial[pick]
+                factor[took], d2[took], taken[row[pick]] = factor_trial[pick], d2_trial[pick], length[pick]
+                search, first = search[~hit], 2 * first + 1
             ending[rows[taken == 0.0]] = True
             took = rows[taken > 0.0]
             prev_alpha[took] = taken[taken > 0.0]
@@ -407,7 +424,6 @@ def _newton_block(
             ends = (stalled[took] >= 12) | (np.maximum.reduce(np.abs(u[took]), axis=1) > escape_radius)
             ends |= (new_norm > 1e12) | (new_norm < cfg.tol) | (iterations[took] >= cfg.max_iter)
             ending[took[ends]] = True
-            live[took[~ends]] = True
     end = int(np.argmax(passed)) + 1 if passed.any() else k
     return u[:end], iterations[:end], passed[:end]
 

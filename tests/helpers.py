@@ -43,6 +43,7 @@ from tzgraph.solvers import (
     SolverConfig,
     _deflated_system,
     _freeze,
+    _row_dots,
     _safe_eval,
 )
 
@@ -702,6 +703,196 @@ def enumerate_signed_roots_oracle(
                     probe_queue.append(found)
     return roots, signs, runs
 
+
+
+def newton_block_oracle(fun, jac_fun, starts, cfg, known, escape_radius):
+    """``solvers._newton_block`` before the lanes: every row of the block steps at once.
+
+    Row ``i`` makes, bit for bit, the run ``_newton_system`` makes from ``starts[i]`` on
+    ``_deflated_system(..., known)`` with ``true_fun`` and ``escape_radius``.  A row passes if
+    its run ends with the undeflated residual below ``cfg.tol``.  The root of the first row
+    that passes would deflate the rows after it, so they stop: returns the final iterates,
+    iteration counts and pass flags of the rows up to that one, or of all rows.
+    """
+    u = np.array(starts, dtype=float)
+    k, n = u.shape
+    roots = np.reshape(known, (len(known), n))
+    iterations, stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    prev_alpha, passed = np.ones(k), np.zeros(k, dtype=bool)
+
+    def deflation(x):
+        diff = x[:, None, :] - roots
+        d2 = _row_dots(diff, diff)
+        factor = np.ones(len(x))
+        for d2_root in d2.T:
+            factor *= 1.0 + 1.0 / d2_root
+        return factor, diff, d2
+
+    def deflated(x):
+        value = fun(x)
+        return deflation(x)[0][:, None] * value if len(roots) else value
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = deflated(u)
+        norm = np.maximum.reduce(np.abs(r), axis=1)
+        live = np.isfinite(r).all(axis=1)
+        ending = live & (norm < cfg.tol)
+        while True:
+            live &= ~ending
+            if ending.any():
+                done = np.flatnonzero(ending)
+                passed[done] = np.maximum.reduce(np.abs(fun(u[done])), axis=1) < cfg.tol
+                ending[:] = False
+                if passed.any():
+                    live[np.argmax(passed) + 1 :] = False
+            rows = np.flatnonzero(live)
+            if not rows.size:
+                break
+            live[rows] = False
+            jac = jac_fun(u[rows])
+            bad = ~np.isfinite(jac).all(axis=(1, 2))
+            ending[rows[bad]] = True
+            inverse, singular = linalg.inverse_block(jac[~bad])
+            rows = rows[~bad][~singular]
+            step = (inverse[~singular] @ -r[rows][:, :, None])[:, :, 0]
+            factor, diff, d2 = deflation(u[rows])
+            slope = np.zeros(rows.size)
+            for dots, d2_root in zip(_row_dots(diff, step[:, None, :]).T, d2.T):
+                slope += -2.0 * dots / (d2_root * d2_root + d2_root)
+            divisor = factor - slope
+            fine = (divisor != 0.0) & np.isfinite(divisor)
+            rows, step = rows[fine], step[fine] / divisor[fine, None]
+            scale = np.ldexp(1.0, -np.frexp(norm[rows])[1])
+            scaled = scale[:, None] * r[rows]
+            phi0 = _row_dots(scaled, scaled)
+            alpha, taken = np.ones(rows.size), np.zeros(rows.size)
+            search, width = np.arange(rows.size), 1
+            while search.size:
+                lengths = np.empty((search.size, width))
+                a, twice = alpha[search], 2.0 * prev_alpha[rows[search]]
+                for j in range(width):
+                    lengths[:, j] = a
+                    a = np.where((a == _SHRINK) & (twice < a * _SHRINK), twice, a * _SHRINK)
+                alpha[search] = a
+                at, lengths = np.repeat(search, width), lengths.ravel()
+                trial = u[rows[at]] + lengths[:, None] * step[at]
+                r_trial = deflated(trial)
+                scaled = scale[at, None] * r_trial
+                armijo = (1.0 - 2.0 * _ARMIJO * lengths) * phi0[at]
+                ok = np.flatnonzero((_row_dots(scaled, scaled) <= armijo) & (lengths >= _MIN_STEP))
+                if width > 1:
+                    ok = ok[np.unique(at[ok], return_index=True)[1]]
+                took = rows[at[ok]]
+                u[took], r[took], taken[at[ok]] = trial[ok], r_trial[ok], lengths[ok]
+                search = search[(taken[search] == 0.0) & (alpha[search] >= _MIN_STEP)]
+                width *= 2
+            ending[rows[taken == 0.0]] = True
+            took = rows[taken > 0.0]
+            prev_alpha[took] = taken[taken > 0.0]
+            iterations[took] += 1
+            new_norm = np.maximum.reduce(np.abs(r[took]), axis=1)
+            stalled[took] = np.where(new_norm > 0.999 * norm[took], stalled[took] + 1, 0)
+            norm[took] = new_norm
+            ends = (stalled[took] >= 12) | (np.maximum.reduce(np.abs(u[took]), axis=1) > escape_radius)
+            ends |= (new_norm > 1e12) | (new_norm < cfg.tol) | (iterations[took] >= cfg.max_iter)
+            ending[took[ends]] = True
+            live[took[~ends]] = True
+    end = int(np.argmax(passed)) + 1 if passed.any() else k
+    return u[:end], iterations[:end], passed[:end]
+
+
+def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newton_block_oracle):
+    """``degree._enumerate_signed_roots`` with one lockstep block per wave.
+
+    Wave one, then the probes of each root in the order the roots were
+    found, each run as blocks by ``block`` (in the shape of
+    ``newton_block_oracle``) until every start has run.  Kernels,
+    certification runs and constants are looked up in ``degree`` at call
+    time, so a test can count them on both enumerators alike.
+    """
+    fun, jac_fun = degree._kernels(spec, g, hp)
+    block_fun, block_jac = degree._kernels(spec, g, hp, block=True)
+    dim = g.n
+    starts = [np.zeros(dim)]
+    if n_starts > 1:
+        points = linalg.halton_ball(dim, n_starts - 1, radius, cfg.seed)
+        starts.extend(p * degree._START_SCALES[i % len(degree._START_SCALES)] for i, p in enumerate(points))
+    escape = max(8.0 * radius, 10.0)
+    run_cfg = replace(cfg, max_iter=min(cfg.max_iter, 60))
+    roots: list[np.ndarray] = []
+    signs: list[int] = []
+    runs = 0
+    probe_queue: list[np.ndarray] = []
+
+    def certify(start: np.ndarray) -> None:
+        dfun, jac, step_scale = degree._deflated_system(fun, jac_fun, roots)
+        report = degree._newton_system(
+            dfun, jac, start, run_cfg, true_fun=fun, escape_radius=escape, step_scale=step_scale
+        )
+        if report.residual_norm >= cfg.tol:
+            return
+        u = np.array(report.solution)
+        if float(np.maximum.reduce(np.abs(u))) >= radius:
+            return
+        if roots:
+            closest = min(float(np.maximum.reduce(np.abs(u - r))) for r in roots)
+            if closest <= degree.DEDUP_RADIUS:
+                if closest > cfg.deflation_radius:
+                    warnings.warn(f"two roots within {closest:.2e} sup-distance merged", stacklevel=4)
+                return
+        sign = report.jac_sign
+        if sign == 0:
+            sign = linalg.det_sign(jac_fun(u))
+        if sign == 0:
+            raise DegenerateRootError(
+                "a root has a numerically singular Jacobian; the degree is "
+                "undefined at this tolerance"
+            )
+        roots.append(u)
+        signs.append(sign)
+        probe_queue.append(u)
+
+    def run_block(starts: list[np.ndarray]) -> None:
+        nonlocal runs
+        pending = np.array(starts)
+        while len(pending):
+            passed = block(block_fun, block_jac, pending, run_cfg, roots, escape)[2]
+            runs += len(passed)
+            if passed[-1]:
+                certify(pending[len(passed) - 1])
+            pending = pending[len(passed) :]
+
+    run_block(starts)
+
+    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
+    for x in range(dim):
+        bump = np.zeros(dim)
+        bump[x] = 1.0
+        offsets.extend((bump, -bump))
+    unique = {tuple(o) for o in offsets}
+    offsets = [np.array(o) for o in sorted(unique)]
+    distances = [4.0 * degree.DEDUP_RADIUS] + [s * radius for s in degree._FOLD_RELATIVE_SCALES]
+
+    def fold_direction(center: np.ndarray) -> np.ndarray | None:
+        try:
+            jac = np.asarray(jac_fun(center), dtype=float)
+            eigenvalues, eigenvectors = np.linalg.eig(jac)
+        except (ExponentOverflowError, np.linalg.LinAlgError):
+            return None
+        vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
+        peak = float(np.maximum.reduce(np.abs(vector)))
+        return vector / peak if peak > 0.0 else None
+
+    probed = 0
+    while probe_queue and probed < degree._MAX_PROBED_ROOTS:
+        center = probe_queue.pop(0)
+        probed += 1
+        probes = [center + scale * radius * offset for scale in degree._PROBE_SCALES for offset in offsets]
+        direction = fold_direction(center)
+        if direction is not None:
+            probes += [center + side * d * direction for d in distances for side in (1.0, -1.0)]
+        run_block(probes)
+    return roots, signs, runs
 
 def graph_arrays_oracle(vertex_ids, mu, edges):
     """The edge-by-edge loop that built ``WeightedGraph`` before the bulk checks.

@@ -303,6 +303,14 @@ def test_help_lists_every_command():
     assert [line.split()[0] for line in listed] == list(COMMANDS)
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_returns_zero_in_process(capsys, flag):
+    code, out, err = run(capsys, [flag])
+    assert (code, err) == (0, "")
+    listed = out.split("\ncommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in listed] == list(COMMANDS)
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "vertex a 1 1 -1\nvertex b 1 1 -1\n")  # disconnected
     code, _, err = run(

@@ -1,7 +1,9 @@
 """Degree estimation: expected signed counts, scalar enumeration, stability."""
 
+import collections
 import inspect
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -174,6 +176,84 @@ def test_merged_roots_warn_once_at_the_caller(monkeypatch):
     lines, first_line = inspect.getsourcelines(degree.estimate_degree)
     call = next(i for i, line in enumerate(lines) if "_enumerate_signed_roots(" in line)
     assert (caught[0].filename, caught[0].lineno) == (degree.__file__, first_line + call)
+
+
+def _enumeration(enumerate_roots, spec, g, n_starts):
+    """Root bytes, signs and runs, or the ``DegenerateRootError`` message; and every warning."""
+    radius = degree._default_radius(spec, g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            roots, signs, runs = enumerate_roots(spec, g, None, radius, CFG, n_starts)
+            outcome = ([u.tobytes() for u in roots], signs, runs)
+        except DegenerateRootError as exc:
+            outcome = str(exc)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def _one_queue_matches_wave_blocks(spec, g, n_starts):
+    queue = _enumeration(degree._enumerate_signed_roots, spec, g, n_starts)
+    assert queue == _enumeration(helpers.enumerate_wave_blocks_oracle, spec, g, n_starts)
+    return queue
+
+
+def test_one_queue_enumerates_as_one_block_per_wave(monkeypatch):
+    rng = np.random.default_rng(353)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec, helpers.mirror_spec)
+    roots = 0
+    for n in range(1, 9):
+        for maker in makers:
+            spec, g = maker(rng, n), helpers.random_graph(rng, n)
+            roots += len(_one_queue_matches_wave_blocks(spec, g, 16)[0][0])
+    assert roots > 64  # most instances have several roots, so probes queue up
+
+    # a singular root stops both enumerations with the same error
+    degenerate = _one_queue_matches_wave_blocks(constant_spec(Kind.GENERALIZED, 2, 1.0, 3.0), helpers.k2(), 8)
+    assert isinstance(degenerate[0], str)
+
+    # roots merged by a widened dedup radius, found by wave one and by probes
+    rng = np.random.default_rng(349)
+    g = helpers.random_graph(rng, 2)
+    spec = helpers.generalized_spec(rng, 2)
+    first, second = estimate_degree(spec, g, CFG, n_starts=8).solutions
+    monkeypatch.setattr(degree, "DEDUP_RADIUS", 1.01 * float(np.max(np.abs(first - second))))
+    merged = _one_queue_matches_wave_blocks(spec, g, 8)[1]
+    assert len(merged) > 1 and all("merged" in message for _, message in merged)
+
+
+def test_one_queue_screens_with_fewer_lockstep_iterations(monkeypatch):
+    rng = np.random.default_rng(359)
+    g = helpers.random_graph(rng, 4)
+    spec = helpers.classic_spec(rng, 4)
+    radius = degree._default_radius(spec, g)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    kernels = degree._kernels
+
+    def counted_kernels(*args, block=False):
+        fun, jac = kernels(*args, block=block)
+        return (fun, counted("lockstep iterations", jac)) if block else (fun, jac)
+
+    monkeypatch.setattr(degree, "_kernels", counted_kernels)
+    monkeypatch.setattr(degree, "_newton_system", counted("certifications", degree._newton_system))
+    monkeypatch.setattr(degree, "_newton_block", counted("screens", degree._newton_block))
+    found = degree._enumerate_signed_roots(spec, g, None, radius, CFG, 48)
+    queue = calls.copy()
+    calls.clear()
+    block = counted("screens", helpers.newton_block_oracle)
+    expected = helpers.enumerate_wave_blocks_oracle(spec, g, None, radius, CFG, 48, block=block)
+    assert [u.tobytes() for u in found[0]] == [u.tobytes() for u in expected[0]]
+    assert found[1:] == expected[1:]
+    assert queue["certifications"] == calls["certifications"] > 0
+    assert queue["screens"] < calls["screens"]
+    assert queue["lockstep iterations"] < calls["lockstep iterations"]
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])

@@ -323,23 +323,24 @@ def test_newton_validates_its_start_once(monkeypatch):
 
 
 def _screen_against_runs(fun, jac, block_fun, block_jac, starts, known, cfg, escape):
-    """Screen ``starts`` block by block and check every row against its own run."""
-    screened, rest = [], np.array(starts)
-    while len(rest):
-        screened.append(_newton_block(block_fun, block_jac, rest, cfg, known, escape))
-        assert screened[-1][2][:-1].sum() == 0  # a screen stops at the first row that passes
-        rest = rest[len(screened[-1][2]) :]
-    u, iterations, passed = (np.concatenate(part) for part in zip(*screened))
+    """Screen ``starts`` block by block on 1, 2, 3 and unbounded lanes; check every row against its own run."""
     reports = []
-    for i, start in enumerate(starts):
+    for start in starts:
         dfun, djac, step_scale = _deflated_system(fun, jac, known)
-        report = _newton_system(
-            dfun, djac, start, cfg, true_fun=fun, escape_radius=escape, step_scale=step_scale
+        reports.append(
+            _newton_system(dfun, djac, start, cfg, true_fun=fun, escape_radius=escape, step_scale=step_scale)
         )
-        assert u[i].tobytes() == report.solution.tobytes()
-        assert iterations[i] == report.iterations
-        assert passed[i] == (report.residual_norm < cfg.tol)
-        reports.append(report)
+    for lanes in (1, 2, 3, None):
+        screened, rest = [], np.array(starts)
+        while len(rest):
+            screened.append(_newton_block(block_fun, block_jac, rest, cfg, known, escape, lanes))
+            assert screened[-1][2][:-1].sum() == 0  # a screen stops at the first row that passes
+            rest = rest[len(screened[-1][2]) :]
+        u, iterations, passed = (np.concatenate(part) for part in zip(*screened))
+        for i, report in enumerate(reports):
+            assert u[i].tobytes() == report.solution.tobytes()
+            assert iterations[i] == report.iterations
+            assert passed[i] == (report.residual_norm < cfg.tol)
     return reports
 
 
