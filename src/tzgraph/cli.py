@@ -315,6 +315,7 @@ def _cmd_degree(spec, g, cfg, args):
     report = estimate_degree(spec, g, cfg, n_starts=args.starts, radius=args.radius)
     result = {
         "degree": report.degree,
+        "enumerated_degree": report.enumerated_degree,
         "signs": list(report.signs),
         "solutions": list(report.solutions),
         "radius": report.radius,

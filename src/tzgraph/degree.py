@@ -2,14 +2,16 @@
 
 The degree of the residual map over a ball that provably contains every
 solution equals the sum of Jacobian determinant signs over the
-(nondegenerate) zeros inside it.  On multi-vertex graphs the zeros are
-enumerated heuristically: deflated Newton runs from low-discrepancy start
-points, each certified root repels subsequent runs, and the signed count
-is reported together with an honesty marker.  The starts form one queue,
-each root's probes joining it as the root is certified, and run in
-lockstep (``solvers._newton_block``), each with the bits of its own run; a
-start whose run ends at a zero is run again alone to certify the root, and
-the starts after it are screened again with that root known.  On a single
+(nondegenerate) zeros inside it.  Where a theorem gives the degree (see
+``estimate_degree``) the report carries the proven value.  Otherwise, on
+multi-vertex graphs, the zeros are enumerated heuristically: deflated
+Newton runs from low-discrepancy start points, each certified root repels
+subsequent runs, and the signed count is reported together with an
+honesty marker.  The starts form one queue, each root's probes joining it
+as the root is certified, and run in lockstep (``solvers._newton_block``),
+each with the bits of its own run; a start whose run ends at a zero is run
+again alone to certify the root, and the starts after it are screened
+again with that root known.  On a single
 vertex the Laplacian vanishes, the equation is scalar, and sign-change
 bisection over the a priori interval enumerates the zeros exhaustively.
 """
@@ -66,7 +68,12 @@ class Confidence(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Deduplicated zeros inside the ball, their signs, and the signed sum."""
+    """Deduplicated zeros found inside the ball, their signs, and the degree.
+
+    ``degree`` is the value a theorem gives where one applies, else the
+    signed count of the zeros found; ``exhaustive_confidence`` says whether
+    ``solutions`` are provably every zero in the ball.
+    """
 
     solutions: tuple[np.ndarray, ...]
     signs: tuple[int, ...]
@@ -74,6 +81,11 @@ class DegreeReport:
     radius: float
     starts_used: int
     exhaustive_confidence: Confidence
+
+    @property
+    def enumerated_degree(self) -> int:
+        """Signed count of the zeros found."""
+        return int(sum(self.signs))
 
 
 def _canonical_order(
@@ -96,6 +108,13 @@ _PROBE_SCALES = (0.02, 0.1)
 # (one absolute rung just above dedup range, the rest radius-relative)
 _FOLD_RELATIVE_SCALES = (1e-3, 1e-2, 5e-2, 0.2)
 _MAX_PROBED_ROOTS = 64
+
+
+def _run_limits(cfg: SolverConfig, radius: float) -> tuple[SolverConfig, float]:
+    """Budget and escape radius of every root-finding run in a ball of ``radius``."""
+    # enumeration runs are throwaway probes: converging runs need far fewer
+    # than the configured solver budget, so failing ones get cut off sooner
+    return replace(cfg, max_iter=min(cfg.max_iter, 60)), max(8.0 * radius, 10.0)
 
 
 def _enumerate_signed_roots(
@@ -126,10 +145,7 @@ def _enumerate_signed_roots(
         points = linalg.halton_ball(dim, n_starts - 1, radius, cfg.seed)
         queue.extend(p * _START_SCALES[i % len(_START_SCALES)] for i, p in enumerate(points))
     lanes = 2 * len(queue)
-    escape = max(8.0 * radius, 10.0)
-    # enumeration runs are throwaway probes: converging runs need far fewer
-    # than the configured solver budget, so failing ones get cut off sooner
-    run_cfg = replace(cfg, max_iter=min(cfg.max_iter, 60))
+    run_cfg, escape = _run_limits(cfg, radius)
     roots: list[np.ndarray] = []
     signs: list[int] = []
 
@@ -222,32 +238,74 @@ def estimate_degree(
     n_starts: int = 64,
     radius: float | None = None,
 ) -> DegreeReport:
-    """Signed count of residual zeros inside the a priori ball.
+    """Degree of the residual map over the a priori ball, and the zeros found in it.
 
     The ball radius comes from the applicable a priori box unless
-    overridden.  For the classic kind with ``h2 >= 0`` everywhere the
-    integral of the residual is strictly positive for every field, so no
-    zeros exist in any ball: the report short-circuits to degree 0 with no
-    search and is marked proven.
+    overridden.  Where a proof settles the degree, the report gives the
+    proven value:
+
+    - Classic, ``h2 >= 0`` everywhere: the integral of the residual is
+      strictly positive for every field, so no ball holds a zero.  Degree 0,
+      no search.
+    - Classic, ``h2 < 0`` everywhere: ``f'(u) = A h1 e^{Au} - B h2 e^{-Bu} > 0``,
+      so with ``D = diag(mu)`` the matrix ``D J = -D lap + D diag(f')`` is
+      symmetric positive definite (``-D lap`` is the weighted graph
+      Laplacian, positive semidefinite).  ``J`` is similar to the symmetric
+      ``D^{-1/2} (D J) D^{-1/2}``, so ``det J > 0`` and every zero has sign
+      +1.  And for ``u != v``, ``<F(u) - F(v), u - v>_mu`` is the integral
+      over ``s`` in [0, 1] of ``(u - v)^T D J(v + s (u - v)) (u - v) > 0``,
+      so there is at most one zero, and the box of ``bounds_classic``
+      holds it.  One Newton run from 0, the run the enumeration certifies
+      first, finds it: if it converges with sign +1 the report holds that
+      root, degree 1 and one start, or, when the root lies outside a given
+      radius, no root and degree 0.  A run that fails falls back to the
+      enumeration.
+    - Generalized, default ball (which needs ``h2 > 0``): the ball strictly
+      holds the ``bounds_generalized`` box, which bounds the zeros of every
+      member ``t`` in [0, 1] of the deformation, so no zero crosses the
+      sphere and the degree is the same for every ``t``.  At ``t = 0`` the
+      pointwise term ``h1 e^{2Au} + h2 e^{-2Bu}`` is positive and the
+      Laplacian integrates to 0, so the residual's integral is positive for
+      every field: no zeros, degree 0.  The enumerated roots are still
+      listed, and their signed count is ``enumerated_degree``.
+    - One vertex, default ball: the exact scalar scan of
+      ``degree_single_vertex``.
+
+    Elsewhere the degree is the signed count of the deflated multi-start
+    enumeration.  Its root set, like the generalized one, is heuristic.
     """
     _check_search(radius, n_starts)
     if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
         ball = radius if radius is not None else math.inf
         return DegreeReport((), (), 0, ball, 0, Confidence.PROVEN)
-    if radius is None:
+    default_ball = radius is None
+    if default_ball:
         try:
             radius = _default_radius(spec, g)
         except BoundsInapplicableError as exc:
             raise BoundsInapplicableError(
                 f"no a priori ball available ({exc}); supply a radius explicitly"
             ) from exc
-    roots, signs, runs = _enumerate_signed_roots(spec, g, None, float(radius), cfg, n_starts)
+        if g.n == 1:
+            return degree_single_vertex(spec)
+    radius = float(radius)
+    if spec.kind is Kind.CLASSIC and float(spec.h2.max()) < 0.0:
+        fun, jac_fun = _kernels(spec, g)
+        run_cfg, escape = _run_limits(cfg, radius)
+        run = _newton_system(fun, jac_fun, np.zeros(g.n), run_cfg, true_fun=fun, escape_radius=escape)
+        if run.converged and run.jac_sign == 1:
+            if float(np.maximum.reduce(np.abs(run.solution))) < radius:
+                return DegreeReport((np.array(run.solution),), (1,), 1, radius, 1, Confidence.PROVEN)
+            if not default_ball:
+                return DegreeReport((), (), 0, radius, 1, Confidence.PROVEN)
+    roots, signs, runs = _enumerate_signed_roots(spec, g, None, radius, cfg, n_starts)
     ordered_roots, ordered_signs = _canonical_order(roots, signs)
+    proven_zero = default_ball and spec.kind is Kind.GENERALIZED
     return DegreeReport(
         ordered_roots,
         ordered_signs,
-        int(sum(ordered_signs)),
-        float(radius),
+        0 if proven_zero else int(sum(ordered_signs)),
+        radius,
         runs,
         Confidence.HEURISTIC,
     )
@@ -312,10 +370,12 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
 def _homotopy_degrees(
     spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, t_values: Sequence[float], n_starts: int
 ) -> list[int]:
-    """Estimated degree of the deformed map at each t, in the order given.
+    """Enumerated degree of the deformed map at each t, in the order given.
 
-    Classic at t = 0 and generalized at t = 1 are the undeformed map, with
-    the ball ``estimate_degree`` uses, so those entries are its degree.
+    Every entry is the signed count of the multi-start enumeration, which
+    these degrees audit: classic members in their own a priori ball,
+    generalized ones in the t-uniform ball.  They are not
+    ``estimate_degree``'s degrees, which come from a proof on both kinds.
     """
     _check_search(None, n_starts)
     degrees: list[int] = []
@@ -330,7 +390,8 @@ def _homotopy_degrees(
                 spec.A,
                 spec.B,
             )
-            degrees.append(estimate_degree(shifted, g, cfg, n_starts).degree)
+            ball = bounds_classic(shifted).radius
+            degrees.append(int(sum(_enumerate_signed_roots(shifted, g, None, ball, cfg, n_starts)[1])))
         return degrees
 
     if np.any(spec.h2 <= 0.0):

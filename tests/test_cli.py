@@ -484,6 +484,25 @@ def test_report_values_rederive_via_api(tmp_path, capsys):
     assert again.radius == report["result"]["radius"]
 
 
+@pytest.mark.parametrize(
+    "lines,equation,expected",
+    [
+        (K2_LINES, "classic", (1, 1, 1, "proven")),
+        ("vertex o 1.5 1 2\n", "generalized", (0, 0, 0, "proven")),
+        (K2_GENERALIZED_LINES, "generalized", (0, None, None, "heuristic")),
+    ],
+)
+def test_degree_reports_the_proven_degree_and_the_enumerated_count(tmp_path, capsys, lines, equation, expected):
+    path = write(tmp_path, lines)
+    code, out, _ = run(
+        capsys, ["degree", path, "--equation", equation, "--A", "1", "--B", "1", "--no-timestamp", "--starts", "16"]
+    )
+    result = json.loads(out)["result"]
+    assert code == 0 and result["enumerated_degree"] == sum(result["signs"])
+    got = (result["degree"], result["enumerated_degree"], result["starts_used"], result["exhaustive_confidence"])
+    assert all(want in (None, value) for want, value in zip(expected, got))
+
+
 def test_solve_imports_no_scipy(tmp_path):
     # importing scipy.linalg would add about 0.3 s of start-up and 28 MB of
     # memory to every process; LAPACK comes through numpy.linalg instead
@@ -505,9 +524,10 @@ def test_solve_imports_no_scipy(tmp_path):
 
 def test_degree_from_starts_near_the_largest_double_prints_no_warning(tmp_path):
     # a run's first residual at u ~ 1e308 overflows A*u; the warning must
-    # not reach stderr (a subprocess, so pytest's warning filters play no part)
-    path = write(tmp_path, K2_LINES)
-    argv = ["degree", path, "--equation", "classic", "--A", "10", "--B", "1",
+    # not reach stderr (a subprocess, so pytest's warning filters play no part);
+    # generalized, since one run from 0 settles a classic instance with h2 < 0
+    path = write(tmp_path, K2_GENERALIZED_LINES)
+    argv = ["degree", path, "--equation", "generalized", "--A", "10", "--B", "1",
             "--radius", "1e308", "--starts", "8", "--no-timestamp"]
     src = str(Path(tzgraph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -515,7 +535,8 @@ def test_degree_from_starts_near_the_largest_double_prints_no_warning(tmp_path):
         [sys.executable, "-m", "tzgraph", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert json.loads(result.stdout)["result"]["degree"] == 1
+    report = json.loads(result.stdout)["result"]
+    assert report["degree"] == report["enumerated_degree"] == 0 and report["starts_used"] > 8
 
 
 def test_missing_file_is_validation_error(capsys):

@@ -35,15 +35,83 @@ def constant_spec(kind, n, h1, h2, A=1.0, B=1.0):
     return ProblemSpec(kind, np.full(n, h1), np.full(n, h2), A, B)
 
 
+def _enumerated(spec, g, n_starts):
+    """The enumerator's canonical roots, signs and run count in the default ball."""
+    radius = degree._default_radius(spec, g)
+    roots, signs, runs = degree._enumerate_signed_roots(spec, g, None, radius, CFG, n_starts)
+    return (*_canonical_order(roots, signs), runs)
+
+
+def _assert_degree_contract(spec, report, solutions, signs, runs):
+    """``estimate_degree`` in the default ball against the enumerator's outcome there.
+
+    Classic with h2 < 0: the one root the enumerator finds, from one run,
+    proven.  Generalized: the enumerator's report with the proven degree 0.
+    """
+    assert [u.tobytes() for u in report.solutions] == [u.tobytes() for u in solutions]
+    assert report.signs == signs and report.enumerated_degree == sum(signs)
+    if spec.kind is Kind.CLASSIC:
+        assert (report.degree, report.signs, report.starts_used) == (1, (1,), 1)
+        assert report.exhaustive_confidence is Confidence.PROVEN
+    else:
+        assert (report.degree, report.starts_used) == (0, runs)
+        assert report.exhaustive_confidence is Confidence.HEURISTIC
+
+
 def test_classic_negative_h2_degree_one():
     rng = np.random.default_rng(307)
     for _ in range(8):
         n = int(rng.integers(2, 7))
         g = helpers.random_graph(rng, n)
         spec = helpers.classic_spec(rng, n)
-        report = estimate_degree(spec, g, CFG, n_starts=24)
-        assert report.degree == 1
-        assert report.exhaustive_confidence is Confidence.HEURISTIC
+        _assert_degree_contract(spec, estimate_degree(spec, g, CFG, n_starts=24), *_enumerated(spec, g, 24))
+
+
+def test_classic_negative_h2_jacobian_is_symmetric_positive_definite_in_the_mu_product():
+    # D^{1/2} J D^{-1/2} with D = diag(mu) is symmetric, and f' > 0 makes it
+    # positive definite: the map is strictly monotone and every zero has sign +1
+    rng = np.random.default_rng(373)
+    smallest = []
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        g = helpers.random_graph(rng, n)
+        spec = helpers.classic_spec(rng, n)
+        root_mu = np.sqrt(g.mu)
+        for scale in (0.1, 1.0, 3.0):
+            jac = jacobian(spec, g, rng.normal(0.0, scale, n))
+            sym = root_mu[:, None] * jac / root_mu[None, :]
+            assert np.allclose(sym, sym.T, rtol=1e-12, atol=1e-12 * np.max(np.abs(sym)))
+            smallest.append(np.linalg.eigvalsh(sym).min())
+    assert min(smallest) > 0.0
+
+
+def test_classic_negative_h2_root_is_the_enumerator_oracles_root():
+    # one Newton run from 0 gives the root the start-by-start enumerator
+    # certifies, bit for bit
+    rng = np.random.default_rng(379)
+    for trial in range(16):
+        n = int(rng.integers(2, 13)) if trial < 14 else 40
+        g = helpers.random_graph(rng, n)
+        spec = helpers.classic_spec(rng, n)
+        report = estimate_degree(spec, g, CFG, n_starts=16)
+        roots, signs, _ = helpers.enumerate_signed_roots_oracle(
+            lambda u: residual(spec, g, u), lambda u: jacobian(spec, g, u), n, report.radius, CFG, 16
+        )
+        assert (report.degree, report.signs, report.starts_used) == (1, (1,), 1) and signs == [1]
+        assert report.exhaustive_confidence is Confidence.PROVEN
+        assert report.solutions[0].tobytes() == roots[0].tobytes()
+
+
+def test_classic_negative_h2_root_outside_a_given_radius_is_proven_degree_zero():
+    rng = np.random.default_rng(383)
+    g = helpers.random_graph(rng, 4)
+    spec = helpers.classic_spec(rng, 4)
+    (root,) = estimate_degree(spec, g, CFG).solutions
+    inside = estimate_degree(spec, g, CFG, radius=1.5 * float(np.max(np.abs(root))))
+    outside = estimate_degree(spec, g, CFG, radius=0.5 * float(np.max(np.abs(root))))
+    assert inside.solutions[0].tobytes() == root.tobytes() and inside.degree == 1
+    assert (outside.solutions, outside.degree, outside.enumerated_degree, outside.starts_used) == ((), 0, 0, 1)
+    assert outside.exhaustive_confidence is Confidence.PROVEN
 
 
 def test_classic_positive_h2_short_circuits_to_zero():
@@ -64,6 +132,20 @@ def test_generalized_degree_zero():
         spec = helpers.generalized_spec(rng, n)
         report = estimate_degree(spec, g, CFG, n_starts=48)
         assert report.degree == 0
+
+
+def test_generalized_degree_is_proven_zero_only_in_the_default_ball():
+    # on branch-1 at n = 8 the enumeration misses roots, and its signed
+    # count is not the degree; a given radius reports that count
+    rng = np.random.default_rng(389)
+    g = helpers.random_graph(rng, 8)
+    spec = helpers.branch1_spec(rng, 8)
+    report = estimate_degree(spec, g, CFG, n_starts=16)
+    given = estimate_degree(spec, g, CFG, n_starts=16, radius=report.radius)
+    assert report.degree == 0 and report.enumerated_degree != 0
+    assert report.exhaustive_confidence is given.exhaustive_confidence is Confidence.HEURISTIC
+    assert given.degree == given.enumerated_degree == report.enumerated_degree
+    assert [u.tobytes() for u in given.solutions] == [u.tobytes() for u in report.solutions]
 
 
 def test_reported_roots_recertify():
@@ -106,20 +188,20 @@ def test_estimate_degree_matches_the_enumerator_on_public_functions():
         n = int(rng.integers(2, 5))
         g = helpers.random_graph(rng, n)
         spec = makers[trial % len(makers)](rng, n)
-        report = estimate_degree(spec, g, CFG, n_starts=16)
+        found, found_signs, found_runs = _enumerated(spec, g, 16)
         roots, signs, runs = helpers.enumerate_signed_roots_oracle(
             lambda u: residual(spec, g, u),
             lambda u: jacobian(spec, g, u),
             g.n,
-            report.radius,
+            degree._default_radius(spec, g),
             CFG,
             16,
         )
         solutions, ordered = _canonical_order(roots, signs)
-        assert [u.tobytes() for u in report.solutions] == [u.tobytes() for u in solutions]
-        assert report.signs == ordered
-        assert report.degree == sum(ordered)
-        assert report.starts_used == runs
+        assert [u.tobytes() for u in found] == [u.tobytes() for u in solutions]
+        assert (found_signs, found_runs) == (ordered, runs)
+        report = estimate_degree(spec, g, CFG, n_starts=16)
+        _assert_degree_contract(spec, report, found, found_signs, found_runs)
 
 
 def _differential_instances():
@@ -140,23 +222,25 @@ def test_estimate_degree_matches_the_enumerator_on_the_deflated_jacobian():
     # the enumerator before the step scale: every run factors the deflated
     # Jacobian and takes its sign from the undeflated one
     for spec, g in _differential_instances():
-        report = estimate_degree(spec, g, CFG, n_starts=16)
+        found, found_signs, found_runs = _enumerated(spec, g, 16)
         fun, jac = _kernels(spec, g)
         roots, signs, runs = helpers.enumerate_signed_roots_oracle(
             fun,
             jac,
             g.n,
-            report.radius,
+            degree._default_radius(spec, g),
             CFG,
             16,
             deflate=helpers.deflated_system_oracle,
             newton=partial(helpers.newton_system_oracle, sign_jac_fun=jac),
         )
         solutions, ordered = _canonical_order(roots, signs)
-        assert (report.degree, report.signs, report.starts_used) == (sum(ordered), ordered, runs)
-        assert len(report.solutions) == len(solutions)
-        for u, v in zip(report.solutions, solutions):
+        assert (found_signs, found_runs) == (ordered, runs)
+        assert len(found) == len(solutions)
+        for u, v in zip(found, solutions):
             assert np.max(np.abs(u - v)) <= 1e-12
+        report = estimate_degree(spec, g, CFG, n_starts=16)
+        _assert_degree_contract(spec, report, found, found_signs, found_runs)
 
 
 def test_merged_roots_warn_once_at_the_caller(monkeypatch):
@@ -330,9 +414,21 @@ def test_scalar_agreement_heuristic_vs_proven():
             spec = helpers.classic_spec(rng, 1)
         else:
             spec = helpers.generalized_spec(rng, 1)
-        proven = degree_single_vertex(spec)
-        heuristic = estimate_degree(spec, g1, CFG, n_starts=6)
-        assert heuristic.degree == proven.degree
+        assert sum(_enumerated(spec, g1, 6)[1]) == degree_single_vertex(spec).degree
+
+
+def test_one_vertex_degree_is_the_scalar_scan_in_the_default_ball():
+    rng = np.random.default_rng(397)
+    g1 = helpers.build_graph({"ids": ["o"], "mu": [1.7], "edges": []})
+    for maker in (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec):
+        spec = maker(rng, 1)
+        report, scan = estimate_degree(spec, g1, CFG, n_starts=6), degree_single_vertex(spec)
+        assert [u.tobytes() for u in report.solutions] == [u.tobytes() for u in scan.solutions]
+        assert (report.signs, report.degree, report.radius, report.starts_used) == (
+            scan.signs, scan.degree, scan.radius, 0)
+        assert report.exhaustive_confidence is Confidence.PROVEN
+    given = estimate_degree(spec, g1, CFG, n_starts=6, radius=scan.radius)
+    assert given.exhaustive_confidence is Confidence.HEURISTIC and given.starts_used > 1
 
 
 def scalar_differential_specs():
