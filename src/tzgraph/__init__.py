@@ -71,7 +71,6 @@ from .solvers import (
     minimize_box,
     multiplicity_branch,
     newton,
-    newton_deflated,
 )
 
 __version__ = "0.1.0"

@@ -334,7 +334,9 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     def term(c: np.ndarray) -> np.ndarray:
         return pointwise(spec.A * c, -spec.B * c)
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    # 0 solves the generalized kind, whose box holds it: on the grid it is found exactly,
+    # not as a bisection's end; the classic term is monotone, so 0 off its box adds no root
+    grid = np.union1d(np.linspace(lo, hi, _SCAN_POINTS), 0.0)
     # beyond the exponent range the term is an infinity of the right sign; the
     # signs are multiplied, not the values, whose product can overflow
     with np.errstate(over="ignore"):

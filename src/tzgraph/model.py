@@ -60,7 +60,6 @@ __all__ = [
     "energy",
     "energy_gradient",
     "default_epsilon",
-    "validate_homotopy",
 ]
 
 # exp() overflows just above 709; the squared-exponential terms of the

@@ -12,7 +12,7 @@ residual and Jacobian kernels of ``model`` to ``_newton_system``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .model import (
     HomotopyParams,
     Kind,
     ProblemSpec,
+    _check_spec_alignment,
     _energy_kernel,
     _exponents,
     _kernels,
@@ -47,7 +48,6 @@ __all__ = [
     "SolveReport",
     "BarrierPair",
     "newton",
-    "newton_deflated",
     "continuation",
     "default_t_grid",
     "multiplicity_branch",
@@ -428,32 +428,6 @@ def _newton_block(
     return u[:end], iterations[:end], passed[:end]
 
 
-def newton_deflated(
-    spec: ProblemSpec,
-    g: WeightedGraph,
-    known: Sequence[np.ndarray],
-    start,
-    cfg: SolverConfig,
-) -> SolveReport:
-    """Newton on the residual deflated against the known solutions.
-
-    The deflation multiplier preserves roots while making every known root
-    repel the iteration, so a converged report is a *new* solution: it is
-    certified against the undeflated residual and must sit at sup-distance
-    greater than ``cfg.deflation_radius`` from every known root.
-    """
-    start = as_field(g, start)
-    known = [as_field(g, k) for k in known]
-    base_fun, base_jac = _kernels(spec, g)
-    dfun, jac, step_scale = _deflated_system(base_fun, base_jac, known)
-    report = _newton_system(dfun, jac, start, cfg, true_fun=base_fun, step_scale=step_scale)
-    if report.converged and known:
-        closest = min(float(np.maximum.reduce(np.abs(report.solution - k))) for k in known)
-        if closest <= cfg.deflation_radius:
-            report = replace(report, converged=False, jac_sign=0)
-    return report
-
-
 def default_t_grid(count: int = 21) -> np.ndarray:
     """Uniform deformation grid from t = 1 down to t = 0."""
     if count < 2:
@@ -543,14 +517,12 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
-def _negative_crossings(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
-    """Per-vertex sign change of the pointwise nonlinearity on the negative axis.
+def _barrier_powers(spec: ProblemSpec, n: int, side: int) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """The pointwise term, then per vertex its first ``side * 2**-k`` (k >= 1) where the
+    term is negative and its first ``side * 2**k`` (k >= 0) where it is positive.
 
-    Under ``A h1(x) > B h2(x)`` the pointwise term is negative just below
-    zero and grows without bound far below, so each vertex has a crossing;
-    bisection brackets it between a halved near point and a doubled far
-    point.  Every vertex is searched and bisected at once, under the
-    kernels' exponent guard.
+    Every vertex is searched at once, 60 powers each way, under the kernels'
+    exponent guard.
     """
     pointwise, _, cap = _pointwise(spec)
 
@@ -558,27 +530,36 @@ def _negative_crossings(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
         return pointwise(*_exponents(spec.A, spec.B, cap, c))
 
     def search(first: float, factor: float, sign: float) -> np.ndarray:
-        """Per vertex, the first ``s = first * factor**k`` with ``sign * term(-s) > 0``."""
-        s = np.full(g.n, first)
+        s = np.full(n, first)
         for _ in range(_BARRIER_SEARCH_STEPS):
-            found = sign * term(-s) > 0.0
+            found = sign * term(s) > 0.0
             if found.all():
                 return s
             s[~found] *= factor
-        raise BarrierInapplicableError(
-            "could not bracket the negative-side sign change of the nonlinearity"
-        )
+        raise BarrierInapplicableError("barrier search did not terminate")
 
-    near, far = search(0.5, 0.5, -1.0), search(1.0, 2.0, 1.0)
-    return _bisect(term, -far, -near, term(-far))
+    return term, search(0.5 * side, 0.5, -1.0), search(float(side), 2.0, 1.0)
+
+
+def _negative_crossings(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray:
+    """Per-vertex sign change of the pointwise nonlinearity on the negative axis.
+
+    Under ``A h1(x) > B h2(x)`` the term is negative just below zero and
+    grows without bound far below, so bisection between each vertex's two
+    powers of ``_barrier_powers`` finds its crossing.
+    """
+    term, near, far = _barrier_powers(spec, g.n, -1)
+    return _bisect(term, far, near, term(far))
 
 
 def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
     """Deterministic power-of-two barriers for the applicable branch.
 
-    Positive branch (``A max h1 < B min h2``): halve trial values until the
-    constant field ``delta`` makes the residual strictly negative at every
-    vertex, and double until ``beta`` makes it strictly positive.
+    Positive branch (``A max h1 < B min h2``): each vertex's pointwise term
+    is negative below its one positive zero and positive above it, so the
+    term is negative at every vertex at ``delta``, the smallest of the
+    vertices' first powers of ``_barrier_powers`` with a negative term, and
+    positive at ``beta``, the largest of those with a positive term.
 
     Negative branch (``A min h1 > B max h2``): the pointwise term is
     negative *near* zero and positive *far* below it, which is the opposite
@@ -590,6 +571,7 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
     """
     if spec.kind is not Kind.GENERALIZED:
         raise BarrierInapplicableError("barriers are defined for the generalized kind only")
+    _check_spec_alignment(spec, g)
     if np.any(spec.h2 <= 0.0):
         raise BarrierInapplicableError(
             "the two-solution hypotheses require h2 > 0 at every vertex"
@@ -600,23 +582,8 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
             "neither A*max(h1) < B*min(h2) nor A*min(h1) > B*max(h2) holds"
         )
     if branch == 1:
-        # on a constant field the Laplacian term of the residual vanishes exactly
-        fun, _ = _kernels(spec, g)
-        delta = None
-        for k in range(1, _BARRIER_SEARCH_STEPS + 1):
-            trial = 2.0**-k
-            if np.all(fun(np.full(g.n, trial)) < 0.0):
-                delta = trial
-                break
-        beta = None
-        for k in range(_BARRIER_SEARCH_STEPS + 1):
-            trial = 2.0**k
-            if np.all(fun(np.full(g.n, trial)) > 0.0):
-                beta = trial
-                break
-        if delta is None or beta is None:
-            raise BarrierInapplicableError("barrier search did not terminate")
-        return BarrierPair(delta, beta, side=1)
+        _, near, far = _barrier_powers(spec, g.n, 1)
+        return BarrierPair(float(near.min()), float(far.max()), side=1)
 
     crossings = _negative_crossings(spec, g)
     nearest = float(np.abs(crossings).min())
@@ -765,70 +732,53 @@ def find_two_solutions(
 ) -> list[SolveReport]:
     """The zero solution plus a one-signed second solution.
 
-    The zero field solves the generalized equation identically.  Under the
-    positive-branch hypothesis the second solution is the interior
-    minimizer of the energy over the barrier box.  Under the negative
-    branch the energy has its local minimum *at* zero, so the second
-    (negative) solution is not a box minimizer; it is found by Newton
-    deflated against zero, warm-started at the pointwise crossing profile
-    and constant fields in the mirrored box, with a full multi-start
-    enumeration as fallback (weak graph coupling can scatter the negative
-    solutions far from any constant profile).
+    The zero field solves the generalized equation identically.  The
+    branch is the side of ``choose_barriers``' pair, which checks the
+    hypotheses.  Under the positive branch the second solution is the
+    interior minimizer of the energy over the barrier box.  Under the
+    negative branch the energy has its local minimum *at* zero, so the
+    second (negative) solution is not a box minimizer; it is found by
+    Newton deflated against zero, warm-started at the pointwise crossing
+    profile and constant fields in the mirrored box, with a full
+    multi-start enumeration as fallback (weak graph coupling can scatter
+    the negative solutions far from any constant profile).
     """
-    if spec.kind is not Kind.GENERALIZED:
-        raise BarrierInapplicableError("two-solution search applies to the generalized kind only")
-    branch = multiplicity_branch(spec)
-    if branch == 0:
-        raise BarrierInapplicableError(
-            "neither A*max(h1) < B*min(h2) nor A*min(h1) > B*max(h2) holds"
-        )
+    barriers = choose_barriers(spec, g)
     zero_report = newton(spec, g, np.zeros(g.n), cfg)
     if not zero_report.converged:
         raise MultiplicityFailureError("the zero solution failed to certify (degenerate Jacobian)")
 
-    barriers = choose_barriers(spec, g)
-    lo, hi = barriers.box()
-    if branch == 1:
+    if barriers.side == 1:
         second = minimize_box(spec, g, barriers, cfg)
         if not second.converged:
             raise SolveFailedError("box minimization did not converge")
-        if not (np.all(second.solution > lo) and np.all(second.solution < hi)):
-            raise MultiplicityFailureError("minimizer escaped the barrier box")
     else:
-        fun, _ = _kernels(spec, g)
+        lo, hi = barriers.box()
+        fun, jac = _kernels(spec, g)
+        deflated, _, step_scale = _deflated_system(fun, jac, [np.zeros(g.n)])
         crossings = _negative_crossings(spec, g)
         starts = [crossings, np.full(g.n, _mean_constant_root(fun, g, lo, hi))]
-        starts += [
-            np.full(g.n, c)
-            for c in (
-                float(np.mean(crossings)),
-                -math.sqrt(barriers.delta * barriers.beta),
-                float(crossings.min()),
-                float(crossings.max()),
-            )
-        ]
-        second = None
-        for start in starts:
-            attempt = newton_deflated(
-                spec, g, [np.zeros(g.n)], np.clip(start, lo, hi), cfg
-            )
-            if attempt.converged and np.all(attempt.solution < 0.0):
-                second = attempt
-                break
-        if second is None:
+        middle = -math.sqrt(barriers.delta * barriers.beta)
+        starts += [np.full(g.n, c) for c in (np.mean(crossings), middle, crossings.min(), crossings.max())]
+
+        def candidates():
+            for start in starts:
+                start = np.clip(start, lo, hi)
+                yield _newton_system(deflated, jac, start, cfg, true_fun=fun, step_scale=step_scale)
             # weakly coupled graphs can scatter the negative solutions far
             # from any constant profile; fall back to full enumeration
             from .degree import _enumerate_signed_roots
 
-            roots, _, _ = _enumerate_signed_roots(
-                spec, g, None, bounds_generalized(spec, g).radius, cfg, n_starts=48
-            )
-            for root in roots:
+            radius = bounds_generalized(spec, g).radius
+            for root in _enumerate_signed_roots(spec, g, None, radius, cfg, n_starts=48)[0]:
                 if np.all(root < 0.0):
-                    second = newton(spec, g, root, cfg)
-                    if second.converged:
-                        break
-                    second = None
+                    yield newton(spec, g, root, cfg)
+
+        def negative(r: SolveReport) -> bool:
+            # strictly negative, and not zero itself: beyond the deflation radius around it
+            return r.converged and bool(np.all(r.solution < 0.0)) and r.solution.min() < -cfg.deflation_radius
+
+        second = next(filter(negative, candidates()), None)
         if second is None:
             raise SolveFailedError("no strictly negative second solution found")
 

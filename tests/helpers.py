@@ -39,6 +39,7 @@ from tzgraph.solvers import (
     _ARMIJO,
     _MIN_STEP,
     _SHRINK,
+    BarrierPair,
     SolveReport,
     SolverConfig,
     _deflated_system,
@@ -1082,6 +1083,24 @@ def negative_crossings_oracle(spec: ProblemSpec, g: WeightedGraph) -> np.ndarray
                 hi = mid
         crossings[x] = 0.5 * (lo + hi)
     return crossings
+
+
+def positive_barriers_oracle(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
+    """``solvers.choose_barriers`` on the positive branch before the per-vertex search: on
+    whole-graph residuals at constant fields, the first of 2**-1, ..., 2**-60 where the
+    residual is strictly negative at every vertex, and the first of 1, 2, ..., 2**60 where
+    it is strictly positive at every vertex."""
+    delta = beta = None
+    for k in range(1, 61):
+        if np.all(residual(spec, g, np.full(g.n, 2.0**-k)) < 0.0):
+            delta = 2.0**-k
+            break
+    for k in range(61):
+        if np.all(residual(spec, g, np.full(g.n, 2.0**k)) > 0.0):
+            beta = 2.0**k
+            break
+    assert delta is not None and beta is not None, "barrier search did not terminate"
+    return BarrierPair(delta, beta, side=1)
 
 
 def _scalar_values_oracle(spec: ProblemSpec, c: np.ndarray) -> np.ndarray:

@@ -503,6 +503,17 @@ def test_degree_reports_the_proven_degree_and_the_enumerated_count(tmp_path, cap
     assert all(want in (None, value) for want, value in zip(expected, got))
 
 
+def test_degree_on_one_vertex_lists_the_generalized_zero_root_as_zero(tmp_path, capsys):
+    path = write(tmp_path, "vertex o 1 1.3 0.7\n")
+    code, out, _ = run(
+        capsys, ["degree", path, "--equation", "generalized", "--A", "1.2", "--B", "0.9", "--no-timestamp"]
+    )
+    solutions = json.loads(out)["result"]["solutions"]
+    assert code == 0 and len(solutions) == 2
+    assert [u for u in solutions if abs(u[0]) < 1e-9] == [[0.0]]
+    assert '"solutions":[[-0.28854074309480648],[0.0]]' in out
+
+
 def test_solve_imports_no_scipy(tmp_path):
     # importing scipy.linalg would add about 0.3 s of start-up and 28 MB of
     # memory to every process; LAPACK comes through numpy.linalg instead

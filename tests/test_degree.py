@@ -399,6 +399,17 @@ def test_scalar_generalized_two_roots_cancel():
     assert report.degree == 0
 
 
+def test_scalar_scan_reports_the_generalized_zero_root_as_zero():
+    # 0 solves the generalized kind identically; before it was a scan point the
+    # first spec listed it as -2.104600847249108e-64, the end of a bisection
+    rng = np.random.default_rng(401)
+    specs = [constant_spec(Kind.GENERALIZED, 1, 1.3, 0.7, A=1.2, B=0.9)]
+    specs += [make(rng, 1) for make in (helpers.generalized_spec, helpers.branch1_spec, helpers.mirror_spec) * 20]
+    for spec in specs:
+        near_zero = [u.tobytes() for u in degree_single_vertex(spec).solutions if abs(u[0]) < 1e-9]
+        assert near_zero == [np.zeros(1).tobytes()]
+
+
 def test_scalar_classic_positive_h2_no_roots():
     spec = constant_spec(Kind.CLASSIC, 1, 1.0, 1.0)
     report = degree_single_vertex(spec)

@@ -14,6 +14,7 @@ from tzgraph import (
     Kind,
     ProblemSpec,
     SolverConfig,
+    WeightedGraph,
     bounds_generalized,
     choose_barriers,
     continuation,
@@ -23,13 +24,13 @@ from tzgraph import (
     minimize_box,
     multiplicity_branch,
     newton,
-    newton_deflated,
     residual,
 )
 from tzgraph import linalg
 from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
 from tzgraph.errors import ExponentOverflowError, SpecValidationError
+import tzgraph.degree
 import tzgraph.solvers
 from tzgraph.solvers import (
     _bisect,
@@ -141,13 +142,21 @@ def test_armijo_rejects_a_growing_step_at_a_huge_residual():
 # deflation
 
 
+def deflated_run(spec, g, known, start, cfg):
+    """The run the mirror branch of ``find_two_solutions`` makes from ``start``: Newton on
+    ``_deflated_system`` against ``known``, certified on the undeflated residual."""
+    fun, jac = _kernels(spec, g)
+    deflated, _, step_scale = _deflated_system(fun, jac, known)
+    return _newton_system(deflated, jac, start, cfg, true_fun=fun, step_scale=step_scale)
+
+
 def test_deflated_with_no_known_roots_matches_newton():
     rng = np.random.default_rng(233)
     g = helpers.random_graph(rng, 4)
     spec = helpers.classic_spec(rng, 4)
     start = rng.normal(0.0, 0.3, 4)
     plain = newton(spec, g, start, CFG)
-    deflated = newton_deflated(spec, g, [], start, CFG)
+    deflated = deflated_run(spec, g, [], start, CFG)
     assert np.array_equal(plain.solution, deflated.solution)
     assert plain.residual_history == deflated.residual_history
     assert plain.jac_sign == deflated.jac_sign
@@ -157,7 +166,7 @@ def test_deflation_finds_second_generalized_root():
     rng = np.random.default_rng(239)
     g = helpers.random_graph(rng, 3)
     spec = helpers.branch1_spec(rng, 3)
-    report = newton_deflated(spec, g, [np.zeros(3)], np.full(3, 0.2), CFG)
+    report = deflated_run(spec, g, [np.zeros(3)], np.full(3, 0.2), CFG)
     assert report.converged
     assert np.max(np.abs(report.solution)) > CFG.deflation_radius
     assert np.max(np.abs(residual(spec, g, report.solution))) < CFG.tol
@@ -169,7 +178,7 @@ def test_deflating_the_unique_classic_root_never_converges():
     known = [np.zeros(2)]
     starts = list(halton_ball(2, 10, 1.0, seed=0)) + [np.full(2, 0.5), np.full(2, -0.5)]
     for start in starts:
-        report = newton_deflated(spec, g, known, start, CFG)
+        report = deflated_run(spec, g, known, start, CFG)
         assert not report.converged
 
 
@@ -266,7 +275,7 @@ def test_newton_deflated_matches_the_deflated_jacobian_oracle():
         fun, jac = _kernels(spec, g)
         known = [np.zeros(n)] if maker is not helpers.classic_spec else [np.full(n, 0.3)]
         for start in halton_ball(n, 8, 1.0, seed=1):
-            report = newton_deflated(spec, g, known, start, CFG)
+            report = deflated_run(spec, g, known, start, CFG)
             oracle = helpers.deflated_newton_oracle(fun, jac, known, start, CFG)
             assert report.converged == oracle.converged
             assert report.jac_sign == oracle.jac_sign
@@ -284,7 +293,7 @@ def test_newton_from_a_start_near_the_largest_double_warns_nothing(deflate):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if deflate:
-            report = newton_deflated(spec, g, [np.zeros(2)], start, CFG)
+            report = deflated_run(spec, g, [np.zeros(2)], start, CFG)
         else:
             report = newton(spec, g, start, CFG)
     assert not report.converged
@@ -358,7 +367,7 @@ def test_block_screen_follows_every_run_bit_for_bit():
         spec = makers[trial % len(makers)](rng, n)
         known = []
         for _ in range(trial % 4):
-            report = newton_deflated(spec, g, known, rng.uniform(-1.0, 1.0, n), CFG)
+            report = deflated_run(spec, g, known, rng.uniform(-1.0, 1.0, n), CFG)
             known.append(np.array(report.solution) if report.converged else rng.uniform(-1.0, 1.0, n))
         starts = [rng.uniform(-s, s, n) for s in (4.0, 1.0, 0.25, 0.0625) for _ in range(3)]
         starts += [k + rng.uniform(-1e-3, 1e-3, n) for k in known] + known[:1]
@@ -568,6 +577,14 @@ def test_barrier_pairs_are_those_of_the_per_vertex_crossings(monkeypatch):
     pairs = [choose_barriers(spec, g) for g, spec in cases]
     monkeypatch.setattr(tzgraph.solvers, "_negative_crossings", helpers.negative_crossings_oracle)
     assert pairs == [choose_barriers(spec, g) for g, spec in cases]
+    # the positive branch, against its search on whole-graph residuals at constant fields
+    rng = np.random.default_rng(317)
+    for n in range(1, 41):
+        g = helpers.random_graph(rng, n)
+        for scale in (1e-3, 1.0, 30.0):
+            spec = helpers.branch1_spec(rng, n)
+            spec = replace(spec, A=scale * spec.A, B=scale * spec.B)
+            assert choose_barriers(spec, g) == helpers.positive_barriers_oracle(spec, g)
 
 
 def test_bisect_stops_early_with_the_bits_of_200_halvings():
@@ -725,6 +742,31 @@ def test_find_two_solutions_mirror_branch():
     # constant coefficients: the negative solution is the scalar crossing
     root = helpers.bisect_root(lambda c: helpers.pointwise_value(spec, 0, c), lo, hi)
     assert np.max(np.abs(second.solution - root)) < 1e-8
+
+
+def test_mirror_branch_falls_back_to_the_enumerator(monkeypatch):
+    # the benchmark generator's mirror instance n=3, seed 5: no deflated warm start
+    # reaches a strictly negative solution, so the multi-start enumeration runs
+    g = WeightedGraph(
+        ("v0", "v1", "v2"),
+        (0.5272185755359486, 1.530708599787895, 1.2136559986505895),
+        (("v1", "v0", 0.738285431732328), ("v2", "v0", 1.2807515875422295), ("v1", "v2", 1.010678134022432)),
+    )
+    h1 = (2.7809837290078345, 2.5327493897415807, 3.9681152258478387)
+    h2 = (0.974959217041801, 0.7573634324208223, 0.737558266776337)
+    spec = ProblemSpec(Kind.GENERALIZED, h1, h2, 1.6508621100337488, 0.8549665302560487)
+    calls = []
+    enumerate_roots = tzgraph.degree._enumerate_signed_roots
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_roots(*args, **kwargs)
+
+    monkeypatch.setattr(tzgraph.degree, "_enumerate_signed_roots", counted)
+    second = find_two_solutions(spec, g, CFG)[1]
+    assert len(calls) == 1
+    assert second.converged and np.all(second.solution < 0.0)
+    assert np.max(np.abs(residual(spec, g, second.solution))) < CFG.tol
 
 
 def test_find_two_solutions_rejects_balanced():
