@@ -59,10 +59,10 @@ from .model import (
 )
 from .solvers import (
     SolverConfig,
+    _two_solutions,
     choose_barriers,
     continuation,
     default_t_grid,
-    find_two_solutions,
     newton,
 )
 
@@ -336,7 +336,7 @@ def _cmd_bounds(spec, g, cfg, args):
 
 def _cmd_multiplicity(spec, g, cfg, args):
     barriers = choose_barriers(spec, g)
-    reports = find_two_solutions(spec, g, cfg)
+    reports = _two_solutions(spec, g, cfg, barriers)
     separation = float(np.maximum.reduce(np.abs(reports[0].solution - reports[1].solution)))
     result = {
         "barrier": {"delta": barriers.delta, "beta": barriers.beta, "side": barriers.side},

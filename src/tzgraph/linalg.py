@@ -5,15 +5,29 @@ factored once, by inversion, which also gives its 1-norm condition number
 ``||A||_1 ||A^-1||_1``.  A matrix is numerically singular when LAPACK meets
 a zero pivot or that number reaches ``1 / PIVOT_RTOL``, instead of dividing
 through by noise; scaling does not change it, so ``1e-200 * I`` is regular.
+``det_sign`` settles strictly row-dominant matrices with a positive
+diagonal without factoring them (``_dominant_positive``).
+
+The two tests can disagree at one extreme of scale.  Where ``A`` is so
+small that ``np.linalg.inv`` overflows (``1e-309 * I`` at n = 2), the
+inverse-based condition number is inf and ``lu_factor`` calls ``A``
+singular, while ``det_sign`` certifies it +1 if it is dominant.  A Newton
+run that takes its step from ``lu_factor`` and its final sign from
+``det_sign`` can then report a converged root with a Jacobian on which it
+could not step.  Non-dominant matrices at that scale get 0 from both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PIVOT_RTOL = 1e-12
+# Varah's bound on the condition number that ``_dominant_positive`` accepts
+_VARAH_LIMIT = 1.0 / (16.0 * PIVOT_RTOL)
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -22,11 +36,16 @@ class LUFactors:
     singular: bool
 
 
-def lu_factor(a: np.ndarray) -> LUFactors:
-    """Factor a square matrix; singular when its condition number is at least 1/PIVOT_RTOL."""
+def _square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def lu_factor(a: np.ndarray) -> LUFactors:
+    """Factor a square matrix; singular when its condition number is at least 1/PIVOT_RTOL."""
+    a = _square(a)
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -58,8 +77,67 @@ def lu_solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
     return factors.inverse @ np.asarray(b, dtype=float)
 
 
+def _dominant_positive(a: np.ndarray) -> bool:
+    """Whether ``a`` is strictly row-dominant with a positive diagonal, with
+    Varah's bound on its 1-norm condition number at most ``_VARAH_LIMIT``.
+
+    Such a matrix has ``det A > 0``: by Gershgorin's theorem every eigenvalue
+    lies in a disc about some ``a_ii > 0`` of radius ``r_i < a_ii``, so it has
+    a positive real part, and the complex ones come in conjugate pairs.  With
+    margins ``m_i = a_ii - r_i``, Varah (Linear Algebra Appl. 11, 1975) gives
+    ``||A^-1||_inf <= 1 / min m``, and ``||B||_1 <= n ||B||_inf`` gives
+    ``kappa_1(A) <= n ||A||_1 / min m``.
+
+    Rounding.  The test runs on ``|A| 2^-e`` with ``max |a_ij| 2^-e`` in
+    [1/2, 1), so no sum or product in it comes near overflow, whatever the
+    scale of ``A``.  Scaling by a power of two changes neither the sign nor
+    the condition number and is exact, except that an entry that lands
+    among the subnormals moves by at most ``2^-1075``.  With
+    ``u = 2^-53``, a computed row sum of ``|A|`` is ``s_i (1 + t)`` with
+    ``|t| <= (n-1) u / (1 - (n-1) u)`` in any order of summation, and the
+    test asks ``fl(2 a_ii - fl((1 + 2 (n+4) u) s^_i)) = l_i`` to satisfy
+    ``fl(min l * LIMIT) >= fl(n c^)``, ``c^`` the computed ``||A||_1``.
+    The allowance ``2 (n+4) u s^_i`` exceeds the summation error and the
+    three roundings, so ``l_i > 0`` means ``2 a_ii > s_i``, that is
+    ``m_i > 0``, and ``m_i >= l_i / (1 + u)``.  Hence Varah's bound is at most
+    ``LIMIT (1 + (n+3) u)``.  The limit itself asks ``l_i >= n / (2 LIMIT)``,
+    about ``8e-12 n``, so the subnormal moves, ``n 2^-1075`` per row at most,
+    are far inside the allowance.  Non-finite entries fail the test.
+    """
+    if not a.diagonal().min() > 0.0:  # the cheap rejection, nan included
+        return False
+    size = np.abs(a)
+    top = float(size.max())
+    if not top < math.inf:
+        return False
+    size = np.ldexp(size, -math.frexp(top)[1])
+    n = a.shape[0]
+    lower = 2.0 * size.diagonal() - (1.0 + (n + 4) * _EPS) * size.sum(axis=1)
+    least = float(lower.min())
+    return least > 0.0 and least * _VARAH_LIMIT >= n * float(size.sum(axis=0).max())
+
+
 def det_sign(a: np.ndarray) -> int:
-    """Sign of det(A): +1, -1, or 0 when numerically singular."""
+    """Sign of det(A): +1, -1, or 0 when numerically singular.
+
+    A matrix that ``_dominant_positive`` accepts gets +1 without a
+    factorization, and that is the answer the factoring path gives it.
+    Its condition number is at most ``LIMIT (1 + (n+3) u)``, a sixteenth
+    of the singular threshold up to rounding.  LU with partial pivoting
+    is backward stable, with growth factor at most 2 on a row-dominant
+    matrix, so the computed factors and inverse are those of some
+    ``A + E`` with ``||E|| ||A^-1||`` of order ``n u kappa``, below
+    ``1e-5 n``.  So the computed inverse is within that relative distance
+    of ``A^-1``, and the computed condition number stays below
+    ``1 / PIVOT_RTOL``; and ``A + tE`` is regular for every t in [0, 1],
+    so no pivot is zero and the factored determinant keeps the sign of
+    ``det A``, which is positive.  The one exception is a scale so small
+    that ``np.linalg.inv`` overflows and the factoring path calls a
+    regular matrix singular; the certificate answers +1 there.
+    """
+    a = _square(a)
+    if _dominant_positive(a):
+        return 1
     if lu_factor(a).singular:
         return 0
     return int(np.linalg.slogdet(a)[0])

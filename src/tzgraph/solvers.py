@@ -12,7 +12,7 @@ residual and Jacobian kernels of ``model`` to ``_newton_system``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,12 +112,14 @@ class BarrierPair:
     ``side=+1`` describes the box ``(delta, beta)`` on the positive axis,
     where the pointwise nonlinearity is strictly negative at ``delta`` and
     strictly positive at ``beta``.  ``side=-1`` describes the mirrored box
-    ``(-beta, -delta)`` used for negative solutions.
+    ``(-beta, -delta)`` used for negative solutions; ``choose_barriers``
+    keeps the per-vertex crossings it built that box from in ``crossings``.
     """
 
     delta: float
     beta: float
     side: int = 1
+    crossings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < self.beta:
@@ -591,7 +593,7 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
     delta = 2.0 ** (math.floor(math.log2(nearest)) - 1)
     reach = max(2.0 * deepest, abs(bounds_generalized(spec, g).lower))
     beta = 2.0 ** math.ceil(math.log2(reach))
-    return BarrierPair(delta, beta, side=-1)
+    return BarrierPair(delta, beta, side=-1, crossings=crossings)
 
 
 def _mean_constant_root(
@@ -743,7 +745,13 @@ def find_two_solutions(
     multi-start enumeration as fallback (weak graph coupling can scatter
     the negative solutions far from any constant profile).
     """
-    barriers = choose_barriers(spec, g)
+    return _two_solutions(spec, g, cfg, choose_barriers(spec, g))
+
+
+def _two_solutions(
+    spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, barriers: BarrierPair
+) -> list[SolveReport]:
+    """``find_two_solutions`` with ``choose_barriers(spec, g)`` already in hand."""
     zero_report = newton(spec, g, np.zeros(g.n), cfg)
     if not zero_report.converged:
         raise MultiplicityFailureError("the zero solution failed to certify (degenerate Jacobian)")
@@ -756,7 +764,7 @@ def find_two_solutions(
         lo, hi = barriers.box()
         fun, jac = _kernels(spec, g)
         deflated, _, step_scale = _deflated_system(fun, jac, [np.zeros(g.n)])
-        crossings = _negative_crossings(spec, g)
+        crossings = barriers.crossings
         starts = [crossings, np.full(g.n, _mean_constant_root(fun, g, lo, hi))]
         middle = -math.sqrt(barriers.delta * barriers.beta)
         starts += [np.full(g.n, c) for c in (np.mean(crossings), middle, crossings.min(), crossings.max())]

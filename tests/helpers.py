@@ -16,14 +16,19 @@ from typing import Callable
 import numpy as np
 
 from tzgraph import (
+    HomotopyParams,
     Kind,
     ProblemSpec,
     WeightedGraph,
     average,
     bounds_classic,
     bounds_generalized,
+    continuation,
+    default_epsilon,
+    default_t_grid,
     degree,
     jacobian,
+    jacobian_homotopy,
     linalg,
     residual,
 )
@@ -345,6 +350,61 @@ def det_sign_oracle(a) -> int:
     if singular:
         return 0
     return int(parity * np.prod(np.sign(np.diag(lu))))
+
+
+def det_sign_factored_oracle(a) -> int:
+    """``linalg.det_sign`` before its dominance certificate: it factors every matrix."""
+    if linalg.lu_factor(a).singular:
+        return 0
+    return int(np.linalg.slogdet(a)[0])
+
+
+def row_dominant_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Strictly row-dominant matrix with margins of 1e-14 to 2 times each row's
+    off-diagonal magnitude sum; a quarter of them get random diagonal signs."""
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+    np.fill_diagonal(a, 0.0)
+    rows = np.abs(a).sum(axis=1)
+    rows[rows == 0.0] = 1.0
+    diag = rows * (1.0 + 10.0 ** rng.uniform(-14.0, 0.0) * rng.uniform(1.0, 2.0, n))
+    if rng.random() < 0.25:
+        diag *= rng.choice([-1.0, 1.0], n)
+    return a + np.diag(diag)
+
+
+def varah_bound(a) -> float:
+    """``n ||A||_1 / min_i (a_ii - sum_{j != i} |a_ij|)``, with exactly rounded row sums."""
+    n = len(a)
+    margins = [a[i, i] - math.fsum(abs(x) for j, x in enumerate(a[i]) if j != i) for i in range(n)]
+    return n * max(math.fsum(np.abs(a[:, j])) for j in range(n)) / min(margins)
+
+
+def varah_edge_matrix(rng: np.random.Generator, n: int, ratio: float) -> np.ndarray:
+    """Row-dominant matrix with a positive diagonal whose Varah bound is about
+    ``ratio`` times ``linalg._VARAH_LIMIT``: every row has the same margin m,
+    and m is the fixed point of ``m = n ||A(m)||_1 / (ratio * limit)``.  Needs
+    n >= 2: at n = 1 the bound is 1."""
+    a = -np.abs(rng.normal(size=(n, n)))
+    np.fill_diagonal(a, 0.0)
+    rows = np.abs(a).sum(axis=1)
+    margin = 1.0
+    for _ in range(8):
+        b = a + np.diag(rows + margin)
+        margin = n * float(np.abs(b).sum(axis=0).max()) / (ratio * linalg._VARAH_LIMIT)
+    return a + np.diag(rows + margin)
+
+
+def classic_neg_stage_jacobians(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """The Jacobian at the solution of every stage of a continuation on a
+    random classic instance with h2 < 0."""
+    g, spec = random_graph(rng, n), classic_spec(rng, n)
+    grid = default_t_grid()
+    eps = default_epsilon(spec)
+    reports = continuation(spec, g, grid, SolverConfig())
+    return [
+        jacobian_homotopy(spec, g, r.solution, HomotopyParams(float(t), eps))
+        for t, r in zip(grid, reports)
+    ]
 
 
 def fd_jacobian(fun, u, tau: float = 1e-6):

@@ -416,6 +416,33 @@ def test_multiplicity_command(tmp_path, capsys):
     assert result["separation_sup"] > 1e-3
 
 
+@pytest.mark.parametrize("make_spec,crossings", [(helpers.branch1_spec, 0), (helpers.mirror_spec, 1)])
+def test_multiplicity_searches_barriers_once(tmp_path, capsys, monkeypatch, make_spec, crossings):
+    rng = np.random.default_rng(7)
+    data = helpers.random_graph_data(rng, 4)
+    spec = make_spec(rng, 4)
+    vertices = list(zip(data["ids"], data["mu"], spec.h1.tolist(), spec.h2.tolist()))
+    path = write(tmp_path, format_graph(GraphDocument(vertices, data["edges"])))
+    calls = {"_barrier_powers": 0, "_negative_crossings": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tzgraph.solvers, name, counted(name, getattr(tzgraph.solvers, name)))
+    code, out, _ = run(
+        capsys,
+        ["multiplicity", path, "--equation", "generalized", "--A", repr(spec.A),
+         "--B", repr(spec.B), "--no-timestamp"],
+    )
+    assert code == 0 and json.loads(out)["result"]["barrier"]["side"] == 1 - 2 * crossings
+    assert calls == {"_barrier_powers": 1, "_negative_crossings": crossings}
+
+
 def test_check_command_passes(tmp_path, capsys):
     path = write(tmp_path, K2_LINES)
     code, out, _ = run(

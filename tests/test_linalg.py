@@ -1,9 +1,12 @@
 """LU determinant signs, solves, and low-discrepancy sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import helpers
+from tzgraph import linalg
 from tzgraph.linalg import det_sign, first_primes, halton_ball, lu_factor, lu_solve
 
 
@@ -38,6 +41,12 @@ def test_det_sign_flags_singular():
     tiny = 1e-200 * np.eye(3)
     assert not lu_factor(tiny).singular and not helpers.lu_oracle(tiny)[3]
     assert det_sign(tiny) == helpers.det_sign_oracle(tiny) == 1
+    # nor at scales where the inverse overflows, subnormal ones included: the
+    # dominance certificate settles these without inverting
+    near = np.ldexp(np.array([[1.0 + 1e-8, -1.0], [-1.0, 1.0 + 1e-8]]), -1000)
+    for scaled in (1e-310 * np.eye(1), 1e-309 * np.eye(2), near):
+        assert det_sign(scaled) == helpers.det_sign_oracle(scaled) == 1
+        assert helpers.det_sign_factored_oracle(scaled) == 0
 
 
 def test_lu_solve_matches_numpy():
@@ -53,6 +62,7 @@ def test_lu_solve_matches_numpy():
 
 def test_singular_flags_and_signs_match_elimination_oracle():
     rng = np.random.default_rng(2)
+    matrices = []
     for _ in range(300):
         n = int(rng.integers(1, 41))
         a = rng.normal(size=(n, n))
@@ -60,8 +70,83 @@ def test_singular_flags_and_signs_match_elimination_oracle():
             # a Newton Jacobian: -L + diag(f') on a random graph
             g = helpers.random_graph(rng, n)
             a = g.neg_laplacian() + np.diag(rng.uniform(-3.0, 3.0, n))
+        matrices.append(a)
+    # the inputs of the dominance certificate: on both sides of its limit,
+    # and classic-neg continuation stages
+    matrices += [helpers.row_dominant_matrix(rng, int(rng.integers(1, 41))) for _ in range(100)]
+    for ratio in (1.0 - 1e-4, 1.0 + 1e-4):
+        matrices += [helpers.varah_edge_matrix(rng, int(rng.integers(2, 41)), ratio) for _ in range(20)]
+    for n in (1, 3, 12):
+        matrices += helpers.classic_neg_stage_jacobians(rng, n)
+    for a in matrices:
         assert lu_factor(a).singular == helpers.lu_oracle(a)[3]
         assert det_sign(a) == helpers.det_sign_oracle(a)
+
+
+def test_det_sign_matches_the_factoring_path_on_and_off_the_certificate():
+    rng = np.random.default_rng(13)
+    cases = []  # (matrix, whether the certificate must settle it, or None)
+    for _ in range(1200):
+        a = helpers.row_dominant_matrix(rng, int(rng.integers(1, 101)))
+        cases.append((np.ldexp(a, int(rng.integers(-1000, 1001))), None))
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 100):
+        cases += [(j, True) for j in helpers.classic_neg_stage_jacobians(rng, n)]
+    for _ in range(150):
+        n = int(rng.integers(2, 101))
+        below = helpers.varah_edge_matrix(rng, n, 1.0 - 1e-4)
+        above = helpers.varah_edge_matrix(rng, n, 1.0 + 1e-4)
+        assert helpers.varah_bound(below) < linalg._VARAH_LIMIT < helpers.varah_bound(above)
+        cases += [(below, True), (above, False)]
+    for _ in range(400):
+        n = int(rng.integers(2, 101))
+        a = rng.normal(size=(n, n))
+        if rng.random() < 0.5:  # a larger diagonal, dominant in some rows
+            a += np.diag(np.abs(a).sum(axis=1) * rng.uniform(0.0, 1.0, n))
+        # the first row is not dominant
+        a[0, 0] = (np.abs(a[0]).sum() - abs(a[0, 0])) * rng.uniform(-1.0, 1.0)
+        cases.append((a, False))
+    assert len(cases) >= 2000
+    settled = 0
+    for a, certified in cases:
+        assert det_sign(a) == helpers.det_sign_factored_oracle(a)
+        if certified is not None:
+            assert linalg._dominant_positive(a) == certified
+        settled += linalg._dominant_positive(a)
+    assert 0 < settled < len(cases)
+
+
+def test_det_sign_certificate_neither_overflows_nor_warns_at_the_ends_of_the_range():
+    huge = np.array([[1e308, -1e307], [-1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (huge, 2.0**-1074 * np.eye(3), np.diag([1e308, 5e-324])):
+            det_sign(a)
+        assert det_sign(huge) == helpers.det_sign_factored_oracle(huge) == 1
+        assert linalg._dominant_positive(huge)
+    # non-finite entries are left to the factoring path
+    for bad in (np.nan, np.inf):
+        a = np.eye(2)
+        a[0, 1] = bad
+        assert not linalg._dominant_positive(a)
+
+
+def test_det_sign_does_not_factor_a_certified_matrix(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("inv", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert det_sign(np.array([[3.0, -1.0], [-1.0, 2.0]])) == 1
+    assert calls == []
+    # a dominant matrix with a negative diagonal entry still factors
+    assert det_sign(np.array([[-3.0, -1.0], [-1.0, 2.0]])) == -1
+    assert calls == ["inv", "slogdet"]
 
 
 def test_lu_solve_rejects_singular():

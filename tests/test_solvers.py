@@ -470,6 +470,29 @@ def test_continuation_classic_endpoint_and_agreement():
     assert np.max(np.abs(reports[-1].solution - direct.solution)) < 1e-8
 
 
+def test_classic_neg_continuation_factors_once_per_newton_iteration(monkeypatch):
+    # every stage's final Jacobian is row-dominant with a positive diagonal
+    # (f' > 0), so its sign needs no factorization
+    rng = np.random.default_rng(257)
+    g = helpers.random_graph(rng, 40)
+    spec = helpers.classic_spec(rng, 40)
+    factored, runs = [], []
+
+    def factor(a):
+        factored.append(1)
+        return lu_factor(a)
+
+    def newton_system(*args, **kwargs):
+        runs.append(_newton_system(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(linalg, "lu_factor", factor)
+    monkeypatch.setattr(tzgraph.solvers, "_newton_system", newton_system)
+    reports = continuation(spec, g, default_t_grid(), CFG)
+    assert len(reports) == 21 and all(r.converged and r.jac_sign == 1 for r in reports)
+    assert len(factored) == sum(r.iterations for r in runs) > 0
+
+
 def test_continuation_generalized_breaks_before_t0():
     rng = np.random.default_rng(251)
     g = helpers.random_graph(rng, 3)
