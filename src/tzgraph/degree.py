@@ -39,10 +39,9 @@ from .model import (
     HomotopyParams,
     Kind,
     ProblemSpec,
+    _classic_member,
     _kernels,
     _pointwise,
-    default_epsilon,
-    jacobian,
 )
 from .solvers import SolverConfig, _bisect, _deflated_system, _newton_block, _newton_system
 
@@ -292,7 +291,7 @@ def estimate_degree(
     if spec.kind is Kind.CLASSIC and float(spec.h2.max()) < 0.0:
         fun, jac_fun = _kernels(spec, g)
         run_cfg, escape = _run_limits(cfg, radius)
-        run = _newton_system(fun, jac_fun, np.zeros(g.n), run_cfg, true_fun=fun, escape_radius=escape)
+        run = _newton_system(fun, jac_fun, np.zeros(g.n), run_cfg, escape_radius=escape)
         if run.converged and run.jac_sign == 1:
             if float(np.maximum.reduce(np.abs(run.solution))) < radius:
                 return DegreeReport((np.array(run.solution),), (1,), 1, radius, 1, Confidence.PROVEN)
@@ -329,7 +328,7 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     box = bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, k1)
     lo, hi = box.lower - 1.0, box.upper + 1.0
 
-    pointwise = _pointwise(spec)[0]
+    pointwise, slope, _ = _pointwise(spec)
 
     def term(c: np.ndarray) -> np.ndarray:
         return pointwise(spec.A * c, -spec.B * c)
@@ -350,9 +349,10 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
+    # the Laplacian of one vertex is 0, so the derivative is the slope of the term
     signs: list[int] = []
     for r in deduped:
-        derivative = float(jacobian(spec, k1, np.array([r]))[0, 0])
+        derivative = float(slope(spec.A * r, -spec.B * r)[0])
         if abs(derivative) < _DERIVATIVE_FLOOR:
             raise DegenerateRootError(
                 f"scalar root {r:.12g} has derivative below {_DERIVATIVE_FLOOR:g}"
@@ -380,35 +380,16 @@ def _homotopy_degrees(
     ``estimate_degree``'s degrees, which come from a proof on both kinds.
     """
     _check_search(None, n_starts)
-    degrees: list[int] = []
-    if spec.kind is Kind.CLASSIC:
-        eps = default_epsilon(spec)
-        for t in t_values:
-            t = float(t)
-            shifted = ProblemSpec(
-                Kind.CLASSIC,
-                t * eps + (1.0 - t) * spec.h1,
-                -t * eps + (1.0 - t) * spec.h2,
-                spec.A,
-                spec.B,
-            )
-            ball = bounds_classic(shifted).radius
-            degrees.append(int(sum(_enumerate_signed_roots(shifted, g, None, ball, cfg, n_starts)[1])))
-        return degrees
 
-    if np.any(spec.h2 <= 0.0):
-        raise BoundsInapplicableError(
-            "the t-uniform ball requires h2 > 0 at every vertex"
-        )
+    def signed_count(member: ProblemSpec, hp: HomotopyParams | None, ball: float) -> int:
+        return int(sum(_enumerate_signed_roots(member, g, hp, ball, cfg, n_starts)[1]))
+
+    ts = [float(t) for t in t_values]
+    if spec.kind is Kind.CLASSIC:
+        members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, t), spec.A, spec.B) for t in ts)
+        return [signed_count(m, None, bounds_classic(m).radius) for m in members]
     ball = bounds_generalized(spec, g).radius
-    for t in t_values:
-        t = float(t)
-        if t == 0.0:
-            degrees.append(0)
-            continue
-        _, signs, _ = _enumerate_signed_roots(spec, g, HomotopyParams(t), ball, cfg, n_starts)
-        degrees.append(int(sum(signs)))
-    return degrees
+    return [0 if t == 0.0 else signed_count(spec, HomotopyParams(t), ball) for t in ts]
 
 
 def verify_homotopy_invariance(

@@ -8,13 +8,12 @@ through by noise; scaling does not change it, so ``1e-200 * I`` is regular.
 ``det_sign`` settles strictly row-dominant matrices with a positive
 diagonal without factoring them (``_dominant_positive``).
 
-The two tests can disagree at one extreme of scale.  Where ``A`` is so
-small that ``np.linalg.inv`` overflows (``1e-309 * I`` at n = 2), the
-inverse-based condition number is inf and ``lu_factor`` calls ``A``
-singular, while ``det_sign`` certifies it +1 if it is dominant.  A Newton
-run that takes its step from ``lu_factor`` and its final sign from
-``det_sign`` can then report a converged root with a Jacobian on which it
-could not step.  Non-dominant matrices at that scale get 0 from both.
+``det_sign`` factors a copy scaled by a power of two; ``lu_factor`` does
+not.  So where ``A`` is so small that ``np.linalg.inv`` overflows
+(``1e-309 * I`` at n = 2), the Newton step calls ``A`` singular while
+``det_sign`` gives its sign, and a Newton run that takes its step from
+``lu_factor`` and its final sign from ``det_sign`` can report a converged
+root with a Jacobian on which it could not step.
 """
 
 from __future__ import annotations
@@ -131,13 +130,16 @@ def det_sign(a: np.ndarray) -> int:
     of ``A^-1``, and the computed condition number stays below
     ``1 / PIVOT_RTOL``; and ``A + tE`` is regular for every t in [0, 1],
     so no pivot is zero and the factored determinant keeps the sign of
-    ``det A``, which is positive.  The one exception is a scale so small
-    that ``np.linalg.inv`` overflows and the factoring path calls a
-    regular matrix singular; the certificate answers +1 there.
+    ``det A``, which is positive.
+
+    Every other matrix is factored as ``A 2^-e``, its largest entry in
+    [1/2, 1): exact up to subnormals, with the same sign and condition
+    number, so ``np.linalg.inv`` cannot overflow on a tiny regular matrix.
     """
     a = _square(a)
     if _dominant_positive(a):
         return 1
+    a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])
     if lu_factor(a).singular:
         return 0
     return int(np.linalg.slogdet(a)[0])

@@ -115,23 +115,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class HomotopyParams:
-    """Deformation parameter, plus the coefficient shift used by the classic kind."""
+    """Deformation parameter; the classic shift is ``default_epsilon`` of the spec."""
 
     t: float
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise SpecValidationError(f"homotopy parameter t={self.t} outside [0, 1]")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise SpecValidationError("epsilon must be positive")
 
 
 def default_epsilon(spec: ProblemSpec) -> float:
-    """Feasible coefficient shift for the classic deformation.
+    """Coefficient shift of the classic deformation.
 
-    Any positive value keeps ``t*eps + (1-t)*h1 > 0``; staying well below
-    both ``min h1`` and ``-max h2`` also keeps the shifted equation deep in
+    Any ``eps > 0`` keeps ``t*eps + (1-t)*h1 > 0``, and ``-t*eps + (1-t)*h2 < 0``
+    holds for every t in [0, 1] exactly when ``h2 < 0`` everywhere.  Staying well
+    below both ``min h1`` and ``-max h2`` also keeps the shifted equation deep in
     the sign regime the uniqueness argument at t = 1 needs.
     """
     max_h2 = float(spec.h2.max())
@@ -143,18 +141,11 @@ def default_epsilon(spec: ProblemSpec) -> float:
     return min(float(spec.h1.min()), -max_h2) / 4.0
 
 
-def validate_homotopy(spec: ProblemSpec, hp: HomotopyParams) -> None:
-    """Check the sign constraints of the deformation for this spec.
-
-    The classic constraints are convex in t, so the endpoints decide:
-    ``t*eps + (1-t)*h1 > 0`` holds for any ``eps > 0`` given ``h1 > 0``,
-    and ``-t*eps + (1-t)*h2 < 0`` for all t forces ``h2 < 0`` everywhere.
-    """
-    if spec.kind is Kind.GENERALIZED:
-        return
-    if hp.epsilon is None:
-        raise SpecValidationError("classic deformation requires an epsilon")
-    default_epsilon(spec)  # exists exactly when h2 < 0 everywhere
+def _classic_member(spec: ProblemSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the classic deformation's member at ``t``; at t = 0 they have
+    the bits of ``h1`` and ``h2``."""
+    eps = default_epsilon(spec)
+    return t * eps + (1.0 - t) * spec.h1, -t * eps + (1.0 - t) * spec.h2
 
 
 def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
@@ -181,13 +172,12 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
 
     The two callables take ``A u`` and ``-B u`` and broadcast against the
     coefficient fields, so one call evaluates every vertex, or many points of
-    a one-vertex spec.  Neither applies the cap; ``hp`` is trusted to be valid.
+    a one-vertex spec.  Neither applies the cap.  A classic ``hp`` needs
+    ``h2 < 0`` everywhere (``default_epsilon``).
     """
     A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
     if spec.kind is Kind.CLASSIC:
-        t, eps = (0.0, 0.0) if hp is None else (hp.t, hp.epsilon)
-        c1 = t * eps + (1.0 - t) * h1
-        c2 = -t * eps + (1.0 - t) * h2
+        c1, c2 = (h1, h2) if hp is None else _classic_member(spec, hp.t)
         a_c1, b_c2 = A * c1, B * c2
 
         def pointwise(au, bu):
@@ -218,16 +208,13 @@ def _kernels(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Unchecked residual and Jacobian callables of the deformation ``hp``.
 
-    ``hp=None`` is the equation itself: t = 0 with eps = 0 (which leaves the
-    coefficients bitwise unchanged) for the classic kind, t = 1 for the
-    generalized kind.  The spec, the graph and the deformation are checked
+    ``hp=None`` is the equation itself: t = 0 for the classic kind, t = 1
+    for the generalized kind.  The spec, the graph and the deformation are checked
     once, here; the callables trust their argument to be a finite field on
     ``g`` and keep only the exponent guard.  With ``block``, they take a ``(k, n)`` block
     of fields, each row with the bits of one field; a row the guard rejects is infinite.
     """
     _check_spec_alignment(spec, g)
-    if hp is not None:
-        validate_homotopy(spec, hp)
     pointwise, slope, cap = _pointwise(spec, hp)
     A, B, n = spec.A, spec.B, g.n
     neg_lap = g.neg_laplacian()
@@ -293,9 +280,10 @@ def residual(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
 def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
     """Residual of the deformed equation at parameter ``hp.t``.
 
-    Classic: coefficients ``t*eps + (1-t)*h1`` and ``-t*eps + (1-t)*h2``
-    (reduces to ``residual`` at t = 0).  Generalized: inner factors
-    ``e^{A u} - t`` and ``e^{-B u} - t`` (reduces to ``residual`` at t = 1).
+    Classic: the coefficients slide linearly from ``(h1, h2)`` at t = 0,
+    where this is ``residual``, to ``(eps, -eps)`` at t = 1, with ``eps =
+    default_epsilon(spec)``.  Generalized: inner factors ``e^{A u} - t`` and
+    ``e^{-B u} - t`` (reduces to ``residual`` at t = 1).
     """
     return _kernels(spec, g, hp)[0](as_field(g, u))
 

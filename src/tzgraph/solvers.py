@@ -38,7 +38,6 @@ from .model import (
     _exponents,
     _kernels,
     _pointwise,
-    default_epsilon,
     energy,
     residual,
 )
@@ -458,10 +457,8 @@ def continuation(
     if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0.0):
         raise SpecValidationError("t_grid must decrease strictly from 1 to 0")
 
-    eps = default_epsilon(spec) if spec.kind is Kind.CLASSIC else None
-
     def solve_at(t: float, start: np.ndarray) -> SolveReport:
-        return _newton_system(*_kernels(spec, g, HomotopyParams(float(t), eps)), start, cfg)
+        return _newton_system(*_kernels(spec, g, HomotopyParams(float(t))), start, cfg)
 
     reports: list[SolveReport] = []
 

@@ -399,10 +399,9 @@ def classic_neg_stage_jacobians(rng: np.random.Generator, n: int) -> list[np.nda
     random classic instance with h2 < 0."""
     g, spec = random_graph(rng, n), classic_spec(rng, n)
     grid = default_t_grid()
-    eps = default_epsilon(spec)
     reports = continuation(spec, g, grid, SolverConfig())
     return [
-        jacobian_homotopy(spec, g, r.solution, HomotopyParams(float(t), eps))
+        jacobian_homotopy(spec, g, r.solution, HomotopyParams(float(t)))
         for t, r in zip(grid, reports)
     ]
 
@@ -457,8 +456,9 @@ def residual_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
                 -spec.B * u
             )
     elif spec.kind is Kind.CLASSIC:
-        c1 = hp.t * hp.epsilon + (1.0 - hp.t) * spec.h1
-        c2 = -hp.t * hp.epsilon + (1.0 - hp.t) * spec.h2
+        eps = default_epsilon(spec)
+        c1 = hp.t * eps + (1.0 - hp.t) * spec.h1
+        c2 = -hp.t * eps + (1.0 - hp.t) * spec.h2
         nonlinear = c1 * e_up + c2 * e_dn
     else:
         nonlinear = spec.h1 * e_up * (np.expm1(spec.A * u) + (1.0 - hp.t)) + (
@@ -475,8 +475,9 @@ def jacobian_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
     if spec.kind is Kind.CLASSIC:
         c1, c2 = spec.h1, spec.h2
         if hp is not None:
-            c1 = t * hp.epsilon + (1.0 - t) * spec.h1
-            c2 = -t * hp.epsilon + (1.0 - t) * spec.h2
+            eps = default_epsilon(spec)
+            c1 = t * eps + (1.0 - t) * spec.h1
+            c2 = -t * eps + (1.0 - t) * spec.h2
         diag = spec.A * c1 * e_up - spec.B * c2 * e_dn
     else:
         diag = spec.h1 * spec.A * e_up * (2.0 * e_up - t) + (

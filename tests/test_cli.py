@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,14 @@ import pytest
 
 import helpers
 import tzgraph
-from tzgraph import SolverConfig, degree, estimate_degree
+from tzgraph import SolverConfig, cli, degree, estimate_degree
 from tzgraph.cli import (
     GraphDocument,
     UsageError,
     build_parser,
     canonical_json,
     canonical_text,
+    entrypoint,
     format_graph,
     main,
     parse_graph,
@@ -216,6 +218,26 @@ def test_solve_obstruction_exit_code(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.strip() == "error: numerical: integral obstruction: no solution exists"
+
+
+def test_solve_generalized_by_plain_newton(tmp_path, capsys):
+    path = write(tmp_path, K2_GENERALIZED_LINES)
+    code, out, err = run(
+        capsys, ["solve", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp"]
+    )
+    result = json.loads(out)["result"]
+    assert (code, err) == (0, "")
+    assert (result["method"], result["stages"], result["converged"]) == ("newton", 1, True)
+
+
+def test_solve_that_does_not_converge_exits_3(tmp_path, capsys):
+    # A h1 = B h2 on one vertex: 0 solves it with a singular Jacobian
+    path = write(tmp_path, "vertex o 1 1 1\n")
+    code, out, err = run(
+        capsys, ["solve", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: numerical: solver did not converge (residual 0.000e+00 after 0 iterations)\n"
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -462,6 +484,43 @@ def test_check_command_passes(tmp_path, capsys):
     }
 
 
+def test_check_on_classic_with_positive_h2_records_the_integral_obstruction(tmp_path, capsys):
+    path = write(tmp_path, "vertex a 1 1 1\nvertex b 1 1 0.5\nedge a b 1\n")
+    code, out, err = run(
+        capsys, ["check", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"]
+    )
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert (code, err) == (0, "")
+    assert checks["integral_obstruction"]["passed"] is True
+    assert checks["integral_obstruction"]["detail"].startswith("smallest residual integral ")
+    assert "homotopy_invariance" not in checks
+
+
+def test_check_with_a_failed_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_homotopy_degrees", lambda *args: [1, 0, 1])
+    path = write(tmp_path, K2_LINES)
+    code, out, err = run(
+        capsys, ["check", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp", "--starts", "8"]
+    )
+    result = json.loads(out)["result"]
+    assert code == 3 and result["all_passed"] is False
+    assert [c["name"] for c in result["checks"] if not c["passed"]] == ["homotopy_invariance"]
+    assert err == "error: numerical: invariant checks failed: homotopy_invariance\n"
+
+
+def test_report_carries_timestamp_and_wall_time_unless_told_not_to(tmp_path, capsys):
+    path = write(tmp_path, K2_LINES)
+    argv = ["bounds", path, "--equation", "classic", "--A", "1", "--B", "1"]
+    code, out, _ = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0
+    stamp = datetime.fromisoformat(report["timestamp"])
+    assert stamp.tzinfo is not None and abs(datetime.now(timezone.utc) - stamp).total_seconds() < 600
+    assert 0.0 <= report["wall_time_s"] < 600.0
+    _, out, _ = run(capsys, argv + ["--no-timestamp"])
+    assert json.loads(out).keys() == report.keys() - {"timestamp", "wall_time_s"}
+
+
 @pytest.mark.parametrize(
     "equation,lines,enumerations",
     [("classic", K2_LINES, 3), ("generalized", K2_GENERALIZED_LINES, 2)],
@@ -560,18 +619,21 @@ def test_solve_imports_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
+def _run_module(*argv):
+    src = str(Path(tzgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "tzgraph", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_degree_from_starts_near_the_largest_double_prints_no_warning(tmp_path):
     # a run's first residual at u ~ 1e308 overflows A*u; the warning must
     # not reach stderr (a subprocess, so pytest's warning filters play no part);
     # generalized, since one run from 0 settles a classic instance with h2 < 0
     path = write(tmp_path, K2_GENERALIZED_LINES)
-    argv = ["degree", path, "--equation", "generalized", "--A", "10", "--B", "1",
-            "--radius", "1e308", "--starts", "8", "--no-timestamp"]
-    src = str(Path(tzgraph.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "tzgraph", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    result = _run_module("degree", path, "--equation", "generalized", "--A", "10", "--B", "1",
+                         "--radius", "1e308", "--starts", "8", "--no-timestamp")
     assert (result.returncode, result.stderr) == (0, "")
     report = json.loads(result.stdout)["result"]
     assert report["degree"] == report["enumerated_degree"] == 0 and report["starts_used"] > 8
@@ -582,6 +644,28 @@ def test_missing_file_is_validation_error(capsys):
         capsys, ["solve", "/nonexistent/g.graph", "--equation", "classic", "--A", "1", "--B", "1"]
     )
     assert code == 2 and err.startswith("error: validation:")
+
+
+def test_module_entry_point_prints_help():
+    result = _run_module("--help")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert all(command in result.stdout for command in COMMANDS)
+
+
+def test_module_entry_point_exits_2_on_a_missing_file(tmp_path):
+    result = _run_module("solve", str(tmp_path / "absent.graph"), "--equation", "classic", "--A", "1", "--B", "1")
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: validation:")
+
+
+def test_entrypoint_exits_with_the_code_of_main(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["tzgraph", "solve", str(tmp_path / "absent.graph"),
+                                      "--equation", "classic", "--A", "1", "--B", "1"])
+    with pytest.raises(SystemExit) as info:
+        entrypoint()
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: validation:")
 
 
 def test_fuzzed_files_never_crash(tmp_path, capsys):

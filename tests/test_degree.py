@@ -367,6 +367,22 @@ def test_degenerate_root_raises():
         estimate_degree(spec, g, CFG, n_starts=8)
 
 
+def test_scalar_double_root_raises():
+    # A h1 = B h2: the generalized term h e^{u} (e^{u} - 1) + h e^{-u} (e^{-u} - 1)
+    # vanishes to second order at 0, a root of even multiplicity
+    spec = constant_spec(Kind.GENERALIZED, 1, 1.0, 1.0)
+    with pytest.raises(DegenerateRootError, match="scalar root 0 has derivative below"):
+        degree_single_vertex(spec)
+
+
+def test_homotopy_invariance_needs_the_t_uniform_ball():
+    g = helpers.k2()
+    for h2 in ([1.0, 0.0], [1.0, -0.5]):
+        spec = ProblemSpec(Kind.GENERALIZED, np.ones(2), np.array(h2), 1.0, 1.0)
+        with pytest.raises(BoundsInapplicableError, match="generalized bounds require h2 > 0"):
+            verify_homotopy_invariance(spec, g, CFG, n_starts=8)
+
+
 def test_mixed_sign_h2_needs_explicit_radius():
     g = helpers.k2()
     spec = ProblemSpec(Kind.CLASSIC, np.ones(2), np.array([-1.0, 0.5]), 1.0, 1.0)

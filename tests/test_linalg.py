@@ -42,10 +42,13 @@ def test_det_sign_flags_singular():
     assert not lu_factor(tiny).singular and not helpers.lu_oracle(tiny)[3]
     assert det_sign(tiny) == helpers.det_sign_oracle(tiny) == 1
     # nor at scales where the inverse overflows, subnormal ones included: the
-    # dominance certificate settles these without inverting
+    # dominance certificate settles the first three without inverting, and the
+    # last two are factored scaled by a power of two
     near = np.ldexp(np.array([[1.0 + 1e-8, -1.0], [-1.0, 1.0 + 1e-8]]), -1000)
-    for scaled in (1e-310 * np.eye(1), 1e-309 * np.eye(2), near):
-        assert det_sign(scaled) == helpers.det_sign_oracle(scaled) == 1
+    regular = 1e-309 * np.array([[1.0, 2.0], [3.0, 1.0]])
+    signed = [(1e-310 * np.eye(1), 1), (1e-309 * np.eye(2), 1), (near, 1), (regular, -1), (-1e-309 * np.eye(2), 1)]
+    for scaled, sign in signed:
+        assert det_sign(scaled) == helpers.det_sign_oracle(scaled) == sign
         assert helpers.det_sign_factored_oracle(scaled) == 0
 
 
@@ -105,6 +108,16 @@ def test_det_sign_matches_the_factoring_path_on_and_off_the_certificate():
         # the first row is not dominant
         a[0, 0] = (np.abs(a[0]).sum() - abs(a[0, 0])) * rng.uniform(-1.0, 1.0)
         cases.append((a, False))
+    # factored scaled by a power of two, ordinary scales give the unscaled answer,
+    # near the singular threshold too
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        cases.append((rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-100.0, 100.0), None))
+    for n in (2, 5, 12):
+        deficient = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+        cases += [(deficient + size * rng.normal(size=(n, n)), None) for size in (1e-14, 1e-12, 1e-10)]
+    for k in (-600, -3, 0, 7, 600):
+        cases += [(np.ldexp(np.diag([1.0, d]), k), None) for d in (1e-11, 1e-12, 1.0001e-12, 1e-13, -1e-11)]
     assert len(cases) >= 2000
     settled = 0
     for a, certified in cases:

@@ -25,7 +25,7 @@ from tzgraph import (
     residual_homotopy,
 )
 from tzgraph.errors import AlignmentError
-from tzgraph.model import _kernels
+from tzgraph.model import _classic_member, _kernels
 
 
 def constant_spec(kind, n, h1, h2, A=1.0, B=1.0):
@@ -94,7 +94,7 @@ def test_classic_deformation_t0_is_residual_bitwise(seed):
     g = helpers.random_graph(rng, n)
     spec = helpers.classic_spec(rng, n)
     u = rng.normal(0.0, 0.7, n)
-    hp = HomotopyParams(0.0, default_epsilon(spec))
+    hp = HomotopyParams(0.0)
     assert np.array_equal(residual_homotopy(spec, g, u, hp), residual(spec, g, u))
 
 
@@ -114,7 +114,7 @@ def test_classic_deformation_t1_zero_field():
     rng = np.random.default_rng(47)
     g = helpers.random_graph(rng, 5)
     spec = helpers.classic_spec(rng, 5)
-    hp = HomotopyParams(1.0, default_epsilon(spec))
+    hp = HomotopyParams(1.0)
     assert np.allclose(residual_homotopy(spec, g, np.zeros(5), hp), 0.0, atol=1e-16)
 
 
@@ -138,14 +138,13 @@ def test_classic_deformation_infeasible_for_positive_h2():
     with pytest.raises(HomotopyInfeasibleError):
         default_epsilon(spec)
     with pytest.raises(HomotopyInfeasibleError):
-        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5, 0.1))
+        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5))
 
 
 def test_homotopy_params_validation():
-    with pytest.raises(SpecValidationError):
-        HomotopyParams(1.5)
-    with pytest.raises(SpecValidationError):
-        HomotopyParams(0.5, -1.0)
+    for t in (1.5, -0.1, math.nan):
+        with pytest.raises(SpecValidationError):
+            HomotopyParams(t)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +185,8 @@ def test_jacobian_matches_finite_differences(maker):
 def test_homotopy_jacobian_matches_finite_differences():
     rng = np.random.default_rng(67)
     g = helpers.random_graph(rng, 4)
-    for spec, hp in [
-        (helpers.classic_spec(rng, 4), None),
-        (helpers.generalized_spec(rng, 4), HomotopyParams(0.37)),
-    ]:
-        if hp is None:
-            hp = HomotopyParams(0.37, default_epsilon(spec))
+    hp = HomotopyParams(0.37)
+    for spec in (helpers.classic_spec(rng, 4), helpers.generalized_spec(rng, 4)):
         u = rng.normal(0.0, 0.5, 4)
         fd = helpers.fd_jacobian(lambda v: residual_homotopy(spec, g, v, hp), u)
         jac = jacobian_homotopy(spec, g, u, hp)
@@ -305,8 +300,7 @@ def test_problem_spec_validation():
 
 def _deformations(spec):
     """The identity (None) and t in {0, 0.5, 1} of the spec's deformation."""
-    eps = default_epsilon(spec) if spec.kind is Kind.CLASSIC else None
-    return [None] + [HomotopyParams(t, eps) for t in (0.0, 0.5, 1.0)]
+    return [None] + [HomotopyParams(t) for t in (0.0, 0.5, 1.0)]
 
 
 @pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
@@ -335,7 +329,7 @@ def test_kernels_equal_public_functions_and_old_formulas_bitwise(kind):
 def test_public_functions_still_validate():
     g = helpers.k2()
     spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
-    hp = HomotopyParams(0.5, default_epsilon(spec))
+    hp = HomotopyParams(0.5)
     public = [
         lambda s, u: residual(s, g, u),
         lambda s, u: jacobian(s, g, u),
@@ -350,8 +344,6 @@ def test_public_functions_still_validate():
             call(spec, [0.0, math.nan])
         with pytest.raises(SpecValidationError):
             call(misaligned, [0.0, 0.0])
-    with pytest.raises(SpecValidationError):
-        residual_homotopy(spec, g, np.zeros(2), HomotopyParams(0.5))
     with pytest.raises(SpecValidationError):
         _kernels(misaligned, g)
 
@@ -368,10 +360,27 @@ def test_kernels_keep_the_exponent_guard():
             call(np.array([0.0, -400.0]))
 
 
+def test_a_classic_member_is_the_classic_equation_with_its_coefficients():
+    # the members the degree audit builds as specs have the bits of the deformation
+    rng = np.random.default_rng(109)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        g = helpers.random_graph(rng, n)
+        spec = helpers.classic_spec(rng, n)
+        u = rng.normal(0.0, 0.7, n)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            hp = HomotopyParams(t)
+            member = ProblemSpec(Kind.CLASSIC, *_classic_member(spec, t), spec.A, spec.B)
+            assert residual(member, g, u).tobytes() == residual_homotopy(spec, g, u, hp).tobytes()
+            assert jacobian(member, g, u).tobytes() == jacobian_homotopy(spec, g, u, hp).tobytes()
+        eps = default_epsilon(spec)
+        assert np.array_equal(np.concatenate(_classic_member(spec, 1.0)), np.repeat([eps, -eps], n))
+
+
 def test_infeasible_deformation_has_one_error():
     spec = constant_spec(Kind.CLASSIC, 2, 1.0, 0.5)
     with pytest.raises(HomotopyInfeasibleError) as from_default:
         default_epsilon(spec)
-    with pytest.raises(HomotopyInfeasibleError) as from_validation:
-        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5, 0.1))
-    assert str(from_default.value) == str(from_validation.value)
+    with pytest.raises(HomotopyInfeasibleError) as from_deformation:
+        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5))
+    assert str(from_default.value) == str(from_deformation.value)

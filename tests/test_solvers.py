@@ -243,10 +243,14 @@ def test_deflated_newton_evaluates_the_residual_once_per_deflated_residual(monke
     )
     assert report.converged and report.iterations >= 3
     assert calls["base"] == calls["deflated"]
-    # one Jacobian and one factorization per iteration, plus the final sign
+    # one Jacobian and one factorization per iteration, plus the final sign,
+    # which factors the Jacobian scaled by a power of two
     assert len(jacobians) == len(factored) == report.iterations + 1
-    for u, a in zip(jacobians, factored):
+    for u, a in zip(jacobians[:-1], factored[:-1]):
         assert a.tobytes() == jac(u).tobytes()
+    final = jac(jacobians[-1])
+    assert 0.5 <= np.abs(factored[-1]).max() < 1.0
+    assert np.ldexp(factored[-1], math.frexp(np.abs(final).max())[1]).tobytes() == final.tobytes()
 
 
 def test_a_zero_or_infinite_step_divisor_ends_the_run_as_singular():
