@@ -372,7 +372,7 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
 def _homotopy_degrees(
     spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, t_values: Sequence[float], n_starts: int
 ) -> list[int]:
-    """Enumerated degree of the deformed map at each t, in the order given.
+    """Enumerated degree of the deformed map at each t of a non-empty grid in [0, 1], in order.
 
     Every entry is the signed count of the multi-start enumeration, which
     these degrees audit: classic members in their own a priori ball,
@@ -380,16 +380,18 @@ def _homotopy_degrees(
     ``estimate_degree``'s degrees, which come from a proof on both kinds.
     """
     _check_search(None, n_starts)
+    grid = [HomotopyParams(float(t)) for t in t_values]
+    if not grid:
+        raise SpecValidationError("the homotopy t grid is empty")
 
     def signed_count(member: ProblemSpec, hp: HomotopyParams | None, ball: float) -> int:
         return int(sum(_enumerate_signed_roots(member, g, hp, ball, cfg, n_starts)[1]))
 
-    ts = [float(t) for t in t_values]
     if spec.kind is Kind.CLASSIC:
-        members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, t), spec.A, spec.B) for t in ts)
+        members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, hp.t), spec.A, spec.B) for hp in grid)
         return [signed_count(m, None, bounds_classic(m).radius) for m in members]
     ball = bounds_generalized(spec, g).radius
-    return [0 if t == 0.0 else signed_count(spec, HomotopyParams(t), ball) for t in ts]
+    return [0 if hp.t == 0.0 else signed_count(spec, hp, ball) for hp in grid]
 
 
 def verify_homotopy_invariance(

@@ -10,6 +10,7 @@ whose boundary provably carries no zeros.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,17 @@ def bounds_classic(spec: ProblemSpec) -> AprioriBox:
             f"(max h2 = {float(spec.h2.max()):.6g})"
         )
     denom = spec.A + spec.B
-    lower = math.log(-float(spec.h2.max()) / float(spec.h1.max())) / denom
-    upper = math.log(-float(spec.h2.min()) / float(spec.h1.min())) / denom
+    lower = _log_ratio(-float(spec.h2.max()), float(spec.h1.max())) / denom
+    upper = _log_ratio(-float(spec.h2.min()), float(spec.h1.min())) / denom
     return _make_box(lower, upper)
+
+
+def _log_ratio(num: float, den: float) -> float:
+    """``log(num / den)`` of two positive floats, also where the quotient overflows or underflows."""
+    ratio = num / den
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(num) - math.log(den)
 
 
 def bounds_generalized(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:

@@ -35,16 +35,8 @@ class LUFactors:
     singular: bool
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def lu_factor(a: np.ndarray) -> LUFactors:
-    """Factor a square matrix; singular when its condition number is at least 1/PIVOT_RTOL."""
-    a = _square(a)
+    """Factor a square float matrix; singular when its condition number is at least 1/PIVOT_RTOL."""
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -117,7 +109,7 @@ def _dominant_positive(a: np.ndarray) -> bool:
 
 
 def det_sign(a: np.ndarray) -> int:
-    """Sign of det(A): +1, -1, or 0 when numerically singular.
+    """Sign of det(A) for a square float matrix: +1, -1, or 0 when numerically singular.
 
     A matrix that ``_dominant_positive`` accepts gets +1 without a
     factorization, and that is the answer the factoring path gives it.
@@ -136,7 +128,6 @@ def det_sign(a: np.ndarray) -> int:
     [1/2, 1): exact up to subnormals, with the same sign and condition
     number, so ``np.linalg.inv`` cannot overflow on a tiny regular matrix.
     """
-    a = _square(a)
     if _dominant_positive(a):
         return 1
     a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])

@@ -11,9 +11,10 @@ residual and Jacobian kernels of ``model`` to ``_newton_system``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -59,9 +60,11 @@ _ARMIJO = 1e-4
 # backtracking multiplies a step length by _SHRINK and gives up below _MIN_STEP
 _SHRINK = 0.5
 _MIN_STEP = 2.0**-30
-# after the lengths 1 and _SHRINK, backtracking goes on from a power of two
-# at most _SHRINK**2; these are its factors down to _MIN_STEP
-_BACKTRACK = np.ldexp(1.0, -np.arange(29))
+# a run crawls once _STALL_STEPS steps in a row each leave the residual above
+# _STALL_RATIO times its value before, and blows up beyond _BLOW_UP
+_STALL_RATIO = 0.999
+_STALL_STEPS = 12
+_BLOW_UP = 1e12
 _MAX_BISECT_DEPTH = 10  # stage halving cap: effective grid of 2**10 points
 _BARRIER_SEARCH_STEPS = 60
 
@@ -72,16 +75,15 @@ class SolverConfig:
 
     tol: float = 1e-10
     max_iter: int = 200
-    deflation_radius: float = 5e-6
     seed: int = 0
+    # not a field: roots closer than this are one root
+    deflation_radius: ClassVar[float] = 5e-6
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise SpecValidationError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise SpecValidationError("max_iter must be at least 1")
-        if not self.deflation_radius > 0.0:
-            raise SpecValidationError("deflation_radius must be positive")
         if self.seed < 0:
             raise SpecValidationError(f"seed must be nonnegative, got {self.seed}")
 
@@ -148,6 +150,58 @@ def _safe_eval(fun: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.nda
     return value
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis vectors, each with the bits of ``np.dot``."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _deflation(x: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``x``: Farrell's multiplier ``M = prod_k (1 + 1/d_k)``, infinite where a
+    ``d_k`` is 0, and the squared distances ``d_k = ||x - u_k||^2`` to the rows of ``roots``."""
+    diff = x[:, None, :] - roots
+    d2 = _row_dots(diff, diff)
+    factor = np.ones(len(x))
+    for d2_root in d2.T:
+        factor *= 1.0 + 1.0 / d2_root
+    return factor, d2
+
+
+def _step_divisor(x: np.ndarray, step: np.ndarray, roots: np.ndarray, factor: np.ndarray, d2: np.ndarray):
+    """Per row: ``M - g.s`` for the ``M`` and ``d_k`` of ``_deflation`` at ``x``, where
+    ``g = grad log M = sum_k -2 (x - u_k) / (d_k^2 + d_k)``; dividing by it turns the step
+    ``s`` that solves ``J s = -M F`` into the Newton step of ``M F``."""
+    slope = np.zeros(len(x))
+    for dots, d2_root in zip(_row_dots(x[:, None, :] - roots, step[:, None, :]).T, d2.T):
+        slope += -2.0 * dots / (d2_root * d2_root + d2_root)
+    return factor - slope
+
+
+@functools.cache
+def _step_lengths(prev: float) -> tuple[float, ...]:
+    """The lengths Armijo backtracking tries after a run last took ``prev``: 1 and ``_SHRINK``,
+    then on from near ``prev``, ``min(2 prev, _SHRINK**2)``, halved down to ``_MIN_STEP``."""
+    lengths, alpha = [1.0, _SHRINK], min(2.0 * prev, _SHRINK * _SHRINK)
+    while alpha >= _MIN_STEP:
+        lengths.append(alpha)
+        alpha *= _SHRINK
+    return tuple(lengths)
+
+
+# every length a run takes is 2**-j, 0 <= j <= 30; row j holds the lengths tried after it, zero-padded
+_LADDERS = np.array([(*_step_lengths(2.0**-j), *[0.0] * 31)[:31] for j in range(31)])
+
+
+def _cut_off(stalled, norm, new_norm):
+    """After a step that took a residual's sup norm from ``norm`` to ``new_norm``: the count
+    of stalled steps in a row, and whether the run ends, crawling or blown up.
+
+    Crawling lines (sub-0.1% progress) cannot reach tolerance within any
+    reasonable budget; they are cut off early.
+    """
+    stalled = (stalled + 1) * (new_norm > _STALL_RATIO * norm)
+    return stalled, (stalled >= _STALL_STEPS) | (new_norm > _BLOW_UP)
+
+
 def _newton_system(
     fun: Callable[[np.ndarray], np.ndarray],
     jac_fun: Callable[[np.ndarray], np.ndarray],
@@ -177,18 +231,13 @@ def _newton_system(
             return SolveReport(_freeze(u), math.inf, 0, 0, False, (math.inf,))
         norm = float(np.maximum.reduce(np.abs(r)))
         history = [norm]
-        iterations = 0
-        failed = False
-        prev_alpha = 1.0
-        stalled = 0
+        iterations, stalled, prev_alpha, failed = 0, 0, 1.0, True
 
-        while norm >= cfg.tol:
+        while norm >= cfg.tol:  # every other way out is a failure
             if iterations >= cfg.max_iter:
-                failed = True
                 break
             jac_value = _safe_eval(jac_fun, u)
             if jac_value is None:
-                failed = True
                 break
             factors = linalg.lu_factor(jac_value)
             if factors.singular:
@@ -202,62 +251,37 @@ def _newton_system(
             # scaling by a power of two is exact and keeps the merit finite
             scale = math.ldexp(1.0, -math.frexp(norm)[1])
             phi0 = float(np.dot(scale * r, scale * r))
-            alpha = 1.0
-            accepted = False
-            while alpha >= _MIN_STEP:
+            for alpha in _step_lengths(prev_alpha):
                 trial = u + alpha * step
                 try:
                     r_trial = fun(trial)
                 except ExponentOverflowError:
-                    pass
-                else:
-                    scaled = scale * r_trial
-                    if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
-                        u, r = trial, r_trial
-                        accepted = True
-                        break
-                # the full and half steps are always tried; after that, resume
-                # near the previously accepted length instead of re-walking down
-                if alpha == _SHRINK and 2.0 * prev_alpha < alpha * _SHRINK:
-                    alpha = 2.0 * prev_alpha
-                else:
-                    alpha *= _SHRINK
-            if not accepted:
-                failed = True
+                    continue
+                scaled = scale * r_trial
+                if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
+                    u, r, prev_alpha = trial, r_trial, alpha
+                    break
+            else:
                 break
-            prev_alpha = alpha
             iterations += 1
             new_norm = float(np.maximum.reduce(np.abs(r)))
-            # crawling lines (sub-0.1% progress) cannot reach tolerance within
-            # any reasonable budget; cut them off early
-            stalled = stalled + 1 if new_norm > 0.999 * norm else 0
+            stalled, cut = _cut_off(stalled, norm, new_norm)
             norm = new_norm
             history.append(norm)
-            if stalled >= 12:
-                failed = True
+            if cut or (escape_radius is not None and float(np.maximum.reduce(np.abs(u))) > escape_radius):
                 break
-            if escape_radius is not None and float(np.maximum.reduce(np.abs(u))) > escape_radius:
-                failed = True
-                break
-            if norm > 1e12:
-                failed = True
-                break
+        else:
+            failed = False
 
         if true_fun is not None:
             r_true = _safe_eval(true_fun, u)
             norm = float(np.maximum.reduce(np.abs(r_true))) if r_true is not None else math.inf
 
-        converged = not failed and norm < cfg.tol
         jac_sign = 0
-        if converged:
+        if not failed and norm < cfg.tol:
             final_jac = _safe_eval(jac_fun, u)
-            if final_jac is None:
-                converged = False
-            else:
-                jac_sign = linalg.det_sign(final_jac)
-                if jac_sign == 0:
-                    converged = False
-    return SolveReport(_freeze(u), norm, iterations, jac_sign, converged, tuple(history))
+            jac_sign = 0 if final_jac is None else linalg.det_sign(final_jac)
+    return SolveReport(_freeze(u), norm, iterations, jac_sign, jac_sign != 0, tuple(history))
 
 
 def newton(spec: ProblemSpec, g: WeightedGraph, start, cfg: SolverConfig) -> SolveReport:
@@ -272,41 +296,24 @@ def _deflated_system(
 ):
     """Residual ``M(u) F(u)`` deflated against ``known``, ``F``'s Jacobian and a step scale.
 
-    ``M = prod_k (1 + 1/d_k)`` with ``d_k = ||u - u_k||^2``.  The Newton step
-    of ``M F`` is the step ``s`` that solves ``J s = -M F`` divided by
-    ``M - g.s``, where ``g = grad log M = sum_k -2 (u - u_k) / (d_k^2 + d_k)``
-    (Farrell, Birkisson & Funke 2015), so the deflated Jacobian is never
-    formed; ``_newton_system`` takes the divisor from the third callable.
+    ``M`` is Farrell's multiplier of ``_deflation`` (Farrell, Birkisson & Funke 2015),
+    infinite with the residual on a root; the step scale is ``_step_divisor``, so the
+    deflated Jacobian is never formed.  Both read ``known`` at every call.
     """
     if not known:
         return fun, jac_fun, None
 
     def dfun(u: np.ndarray) -> np.ndarray:
         value = fun(u)  # the exponent guard turns wild trials away first
-        factor = 1.0
-        for root in known:
-            diff = u - root
-            d2 = float(np.dot(diff, diff))
-            if d2 == 0.0:
-                return np.full_like(u, math.inf)
-            factor *= 1.0 + 1.0 / d2
-        return factor * value
+        with np.errstate(divide="ignore"):
+            factor = _deflation(u[None], np.array(known))[0][0]
+        return factor * value if factor < math.inf else np.full_like(u, math.inf)
 
     def step_divisor(u: np.ndarray, step: np.ndarray) -> float:
-        factor, slope = 1.0, 0.0
-        for root in known:
-            diff = u - root
-            d2 = float(np.dot(diff, diff))
-            factor *= 1.0 + 1.0 / d2
-            slope += -2.0 * float(np.dot(diff, step)) / (d2 * d2 + d2)
-        return factor - slope
+        x, roots = u[None], np.array(known)
+        return float(_step_divisor(x, step[None], roots, *_deflation(x, roots))[0])
 
     return dfun, jac_fun, step_divisor
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of matching last-axis vectors, each with the bits of ``np.dot``."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _newton_block(
@@ -340,13 +347,9 @@ def _newton_block(
     running, ending, started = np.ones(k, dtype=bool), np.zeros(k, dtype=bool), 0
 
     def deflated(x):
-        """Per row: ``M F``, ``F``, the multiplier ``M`` (infinite where a ``d_k = 0``) and the ``d_k``."""
+        """Per row: ``M F``, ``F`` and ``_deflation``'s multiplier ``M`` and ``d_k``."""
         f = fun(x)
-        diff = x[:, None, :] - roots
-        dist = _row_dots(diff, diff)
-        mult = np.ones(len(x))
-        for d2_root in dist.T:
-            mult *= 1.0 + 1.0 / d2_root
+        mult, dist = _deflation(x, roots)
         return (mult[:, None] * f if len(roots) else f), f, mult, dist
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -376,30 +379,24 @@ def _newton_block(
             running[rows[~bad][singular]] = False
             rows = rows[~bad][~singular]
             step = (inverse[~singular] @ -r[rows][:, :, None])[:, :, 0]
-            slope = np.zeros(rows.size)
-            dots = _row_dots(u[rows][:, None, :] - roots, step[:, None, :])
-            for dots_root, d2_root in zip(dots.T, d2[rows].T):
-                slope += -2.0 * dots_root / (d2_root * d2_root + d2_root)
-            divisor = factor[rows] - slope
+            divisor = _step_divisor(u[rows], step, roots, factor[rows], d2[rows])
             fine = (divisor != 0.0) & np.isfinite(divisor)
             running[rows[~fine]] = False
             rows, step = rows[fine], step[fine] / divisor[fine, None]
             scale = np.ldexp(1.0, -np.frexp(norm[rows])[1])
             scaled = scale[:, None] * r[rows]
             phi0 = _row_dots(scaled, scaled)
-            # Armijo backtracking over each row's lengths: 1 and shrink, then on
-            # from near its last accepted length, all powers of two.  Rounds try
+            # Armijo backtracking over each row's _step_lengths.  Rounds try
             # the next 1, 2, 4, 8 and 16 lengths of a row at once, and the row
             # takes the first that passes
-            base = np.minimum(2.0 * prev_alpha[rows], _SHRINK * _SHRINK)
-            ladder = np.column_stack((np.ones(rows.size), np.full(rows.size, _SHRINK), base[:, None] * _BACKTRACK))
+            ladder = _LADDERS[1 - np.frexp(prev_alpha[rows])[1]]
             taken, search, first = np.zeros(rows.size), np.arange(rows.size), 0
             while first < ladder.shape[1]:
-                search = search[ladder[search, first] >= _MIN_STEP]
+                search = search[ladder[search, first] > 0.0]
                 if not search.size:
                     break
                 lengths = ladder[search, first : 2 * first + 1]
-                at, col = np.nonzero(lengths >= _MIN_STEP)
+                at, col = np.nonzero(lengths)
                 length, row = lengths[at, col], search[at]
                 trial = u[rows[row]] + length[:, None] * step[row]
                 r_trial, value_trial, factor_trial, d2_trial = deflated(trial)
@@ -419,11 +416,11 @@ def _newton_block(
             prev_alpha[took] = taken[taken > 0.0]
             iterations[took] += 1
             new_norm = np.maximum.reduce(np.abs(r[took]), axis=1)
-            stalled[took] = np.where(new_norm > 0.999 * norm[took], stalled[took] + 1, 0)
+            stalled[took], ends = _cut_off(stalled[took], norm[took], new_norm)
             norm[took] = new_norm
-            # crawling, escaped, blown up, converged or out of budget
-            ends = (stalled[took] >= 12) | (np.maximum.reduce(np.abs(u[took]), axis=1) > escape_radius)
-            ends |= (new_norm > 1e12) | (new_norm < cfg.tol) | (iterations[took] >= cfg.max_iter)
+            # escaped, converged or out of budget
+            ends |= np.maximum.reduce(np.abs(u[took]), axis=1) > escape_radius
+            ends |= (new_norm < cfg.tol) | (iterations[took] >= cfg.max_iter)
             ending[took[ends]] = True
     end = int(np.argmax(passed)) + 1 if passed.any() else k
     return u[:end], iterations[:end], passed[:end]
@@ -660,24 +657,19 @@ def minimize_box(
             )
 
         a = alpha
-        accepted = False
         while a >= _MIN_STEP:
             trial = np.clip(u - a * grad, lo, hi)
             direction = trial - u
-            if not np.any(direction):
-                a *= _SHRINK
-                continue
-            try:
-                j_trial = energy_of(trial)
-            except ExponentOverflowError:
-                a *= _SHRINK
-                continue
-            decrease = float(np.dot(mu * grad, direction))
-            if j_trial <= j_val + _ARMIJO * decrease + noise_floor * (1.0 + abs(j_val)):
-                accepted = True
-                break
+            if np.any(direction):
+                try:
+                    j_trial = energy_of(trial)
+                except ExponentOverflowError:
+                    j_trial = math.inf  # fails the Armijo test
+                decrease = float(np.dot(mu * grad, direction))
+                if j_trial <= j_val + _ARMIJO * decrease + noise_floor * (1.0 + abs(j_val)):
+                    break
             a *= _SHRINK
-        if not accepted:
+        else:
             status = "stalled"
             break
 
@@ -711,17 +703,13 @@ def minimize_box(
     converged = status == "converged" and grad_norm < cfg.tol
     if converged and (np.any(u <= lo) or np.any(u >= hi)):
         raise InteriorViolationError("minimizer converged on the box boundary")
-    jac_sign = 0
-    if converged:
-        jac_sign = linalg.det_sign(jac(u))
-        if jac_sign == 0:
-            converged = False
+    jac_sign = linalg.det_sign(jac(u)) if converged else 0
     return SolveReport(
         _freeze(u),
         grad_norm,
         steps + polish_iterations,
         jac_sign,
-        converged,
+        jac_sign != 0,
         energy_history=tuple(energies),
     )
 

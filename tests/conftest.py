@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread for the in-process tests, as for the ``python -m tzgraph``
+# ones: the pin only takes effect if set before numpy loads BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(

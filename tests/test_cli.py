@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -587,6 +588,19 @@ def test_degree_reports_the_proven_degree_and_the_enumerated_count(tmp_path, cap
     assert code == 0 and result["enumerated_degree"] == sum(result["signs"])
     got = (result["degree"], result["enumerated_degree"], result["starts_used"], result["exhaustive_confidence"])
     assert all(want in (None, value) for want, value in zip(expected, got))
+
+
+@pytest.mark.parametrize("h1,h2,side", [("1e-300", "-1e300", 1.0), ("1e300", "-1e-300", -1.0)])
+def test_extreme_coefficient_ratios_get_an_answer(tmp_path, capsys, h1, h2, side):
+    # -h2/h1 overflows to inf or underflows to 0; the box is log(1e600)/2 from 0
+    path = write(tmp_path, f"vertex o 1 {h1} {h2}\n")
+    argv = [path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"]
+    code, out, _ = run(capsys, ["bounds", *argv])
+    box = json.loads(out)["box"]
+    assert code == 0 and box["lower"] == box["upper"] == pytest.approx(side * 300.0 * math.log(10.0), rel=1e-15)
+    for command in ("solve", "degree"):
+        code, _, err = run(capsys, [command, *argv])
+        assert code in (0, 2, 3) and len(err.splitlines()) <= 1
 
 
 def test_degree_on_one_vertex_lists_the_generalized_zero_root_as_zero(tmp_path, capsys):

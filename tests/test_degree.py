@@ -358,6 +358,17 @@ def test_search_needs_a_start(n_starts):
         verify_homotopy_invariance(spec, g, CFG, n_starts=n_starts)
 
 
+@pytest.mark.parametrize("t_values", [(), (-0.5, 0.0), (0.0, 1.5), (math.nan,)])
+@pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
+def test_homotopy_t_grid_is_checked_before_any_degree(monkeypatch, kind, t_values):
+    calls = []
+    monkeypatch.setattr(degree, "_enumerate_signed_roots", lambda *args: calls.append(args))
+    spec = constant_spec(kind, 2, 1.0, -1.0 if kind is Kind.CLASSIC else 1.0)
+    with pytest.raises(SpecValidationError):
+        verify_homotopy_invariance(spec, helpers.k2(), CFG, t_values=t_values, n_starts=8)
+    assert not calls
+
+
 def test_degenerate_root_raises():
     # on unit-weight K2, A*h1 - B*h2 = -2 exactly cancels lambda1 = 2, so the
     # Jacobian at the zero root is singular

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,6 +148,70 @@ def deflated_run(spec, g, known, start, cfg):
     fun, jac = _kernels(spec, g)
     deflated, _, step_scale = _deflated_system(fun, jac, known)
     return _newton_system(deflated, jac, start, cfg, true_fun=fun, step_scale=step_scale)
+
+
+def _events(fun, jac, log):
+    """``fun`` and ``jac`` that log an ``F`` or a ``J`` per evaluation."""
+    return (lambda u: log.append("F") or fun(u)), (lambda u: log.append("J") or jac(u))
+
+
+def test_newton_follows_the_pre_change_loop_bit_for_bit():
+    rng = np.random.default_rng(281)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec, helpers.mirror_spec)
+    below_half = compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(32):
+            n = 1 + trial % 6
+            g = helpers.random_graph(rng, n)
+            fun, jac = _kernels(makers[trial % len(makers)](rng, n), g)
+            cfg = SolverConfig(max_iter=4 if trial % 7 == 0 else 200)
+            escape = 6.0 if trial % 3 == 0 else None
+            for start in (rng.uniform(-4.0, 4.0, n), rng.uniform(-1.0, 1.0, n), np.full(n, 3.0)):
+                logs = [], []
+                report = _newton_system(*_events(fun, jac, logs[0]), start, cfg, escape_radius=escape)
+                oracle = helpers.newton_system_oracle(*_events(fun, jac, logs[1]), start, cfg, escape_radius=escape)
+                assert report.solution.tobytes() == oracle.solution.tobytes()
+                assert report.residual_history == oracle.residual_history
+                assert (report.iterations, report.jac_sign, report.converged, report.residual_norm) == (
+                    oracle.iterations, oracle.jac_sign, oracle.converged, oracle.residual_norm
+                )
+                assert logs[0] == logs[1]
+                # three or more residuals between two Jacobians: a step shorter than 1/2 was tried
+                below_half += any(len(run) >= 3 for run in "".join(logs[0]).split("J"))
+                compared += 1
+    assert 0 < below_half < compared
+
+
+def test_deflated_system_matches_the_oracles_on_one_to_four_roots():
+    rng = np.random.default_rng(283)
+    makers = (helpers.classic_spec, helpers.generalized_spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(16):
+            n = 1 + trial % 5
+            g = helpers.random_graph(rng, n)
+            fun, jac = _kernels(makers[trial % 2](rng, n), g)
+            known = [rng.normal(0.0, 0.5, n) for _ in range(1 + trial % 4)]
+            dfun, _, step_scale = _deflated_system(fun, jac, known)
+            oracle_fun, oracle_jac, _ = helpers.deflated_system_oracle(fun, jac, known)
+            points = [rng.normal(0.0, 0.5, n) for _ in range(4)]
+            points += [k + 1e-3 * rng.uniform(-1.0, 1.0, n) for k in known]
+            for u in points:
+                r = dfun(u)
+                assert r.tobytes() == oracle_fun(u).tobytes()
+                step = np.linalg.solve(jac(u), -r)
+                factor, grad = helpers.deflation_terms_oracle(u, known)
+                # M - g.s with g = grad log M, which is the oracle's grad M over M
+                slope = float(np.dot(grad, step)) / factor
+                assert abs(step_scale(u, step) - (factor - slope)) <= 1e-12 * (factor + abs(slope))
+            # a start exactly on a root: the deflated residual is infinite and the run ends there
+            start = known[trial % len(known)].copy()
+            assert np.isinf(dfun(start)).all() and dfun(start).tobytes() == oracle_fun(start).tobytes()
+            report = _newton_system(dfun, jac, start, CFG, true_fun=fun, step_scale=step_scale)
+            oracle = helpers.newton_system_oracle(oracle_fun, oracle_jac, start, CFG, sign_jac_fun=jac, true_fun=fun)
+            for run in (report, oracle):
+                assert (run.iterations, run.residual_history, run.converged, run.jac_sign) == (0, (math.inf,), False, 0)
 
 
 def test_deflated_with_no_known_roots_matches_newton():
@@ -739,6 +803,13 @@ def test_negative_seed_is_rejected():
     # a negative seed would put every start on one corner of the ball
     assert np.unique(halton_ball(3, 6, 2.0, seed=-1), axis=0).shape[0] == 1
     assert np.unique(halton_ball(3, 6, 2.0, seed=0), axis=0).shape[0] == 6
+
+
+def test_deflation_radius_is_a_class_constant_not_a_field():
+    assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iter", "seed"]
+    assert SolverConfig().deflation_radius == replace(CFG, max_iter=3).deflation_radius == 5e-6
+    with pytest.raises(TypeError):
+        SolverConfig(deflation_radius=1e-3)
 
 
 # ---------------------------------------------------------------------------
