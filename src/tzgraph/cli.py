@@ -25,9 +25,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -77,23 +76,27 @@ class UsageError(Exception):
 # graph file ingestion
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GraphDocument:
-    """Parsed form of the on-disk graph format."""
+    """A parsed graph file in columns, vertices and edges each in file order.
 
-    vertices: list[tuple[str, float, float, float]]
-    edges: list[tuple[str, str, float]]
-    checked_edges: tuple | None = field(default=None, compare=False, repr=False)
+    Vertex ``k`` is ``labels[k]``, with measure ``mu[k]`` and coefficients
+    ``h1[k]`` and ``h2[k]``.  Edge ``e`` joins the vertices ``tails[e]`` and
+    ``heads[e]`` (indices into ``labels``) with weight ``weight[e]``: read-only
+    arrays that ``parse_graph`` has checked.
+    """
+
+    labels: tuple[str, ...]
+    mu: tuple[float, ...]
+    h1: tuple[float, ...]
+    h2: tuple[float, ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    weight: np.ndarray
 
     def to_graph(self) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
-        labels, mu = [v[0] for v in self.vertices], [v[1] for v in self.vertices]
-        # the checked index arrays hold only for the labels and edges they were checked with
-        checked_for, arrays = self.checked_edges or (None, None)
-        if checked_for != (tuple(labels), tuple(self.edges)):
-            arrays = None
-        g = WeightedGraph(labels, mu, self.edges, _checked_edges=arrays)
-        h1, h2 = (np.array([v[k] for v in self.vertices]) for k in (2, 3))
-        return g, h1, h2
+        g = WeightedGraph(self.labels, self.mu, _checked_edges=(self.tails, self.heads, self.weight))
+        return g, np.array(self.h1), np.array(self.h2)
 
 
 def _parse_number(token: str, line: int, what: str, positive: bool = False) -> float:
@@ -118,23 +121,29 @@ def _float_or_nan(token: str) -> float:
 def parse_graph(path: str | Path) -> GraphDocument:
     """Parse and validate a graph file; errors carry the offending line."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            raw = file.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # a leading byte order mark is not part of line 1
     except UnicodeDecodeError:
         raise ParseError("file is not valid UTF-8") from None
 
-    # a line without "#" needs no cut, which saves a method call on most lines
-    rows = [line.partition("#")[0].split() if "#" in line else line.split() for line in text.splitlines()]
-    is_edge = [len(tokens) == 4 and tokens[0] == "edge" for tokens in rows]
-    vertices: list[tuple[str, float, float, float]] = []
-    seen: dict[str, int] = {}
-    # every record but a well-formed edge, in file order: record shape and vertex data
-    for lineno, tokens in [(i, t) for i, (t, e) in enumerate(zip(rows, is_edge), 1) if t and not e]:
-        kind = tokens[0]
-        if kind == "vertex":
+    # one pass: a well-formed edge adds to the three edge columns, every other record is
+    # checked where it stands, in file order
+    seen: dict[str, int] = {}  # vertex label -> line
+    mu, h1, h2, ends_a, ends_b, weight_tokens = [], [], [], [], [], []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        # a line without "#" needs no cut, which saves a method call on most lines
+        tokens = (line.partition("#")[0] if "#" in line else line).split()
+        if len(tokens) == 4 and tokens[0] == "edge":
+            ends_a.append(tokens[1])
+            ends_b.append(tokens[2])
+            weight_tokens.append(tokens[3])
+        elif not tokens:
+            continue
+        elif tokens[0] == "vertex":
             if len(tokens) != 5:
                 raise ParseError(
                     f"vertex record needs 'vertex <label> <mu> <h1> <h2>', got {len(tokens) - 1} fields",
@@ -143,32 +152,32 @@ def parse_graph(path: str | Path) -> GraphDocument:
             label = tokens[1]
             if label in seen:
                 raise ParseError(f"duplicate vertex {label!r} (first declared on line {seen[label]})", lineno)
-            mu = _parse_number(tokens[2], lineno, "vertex measure", positive=True)
-            h1 = _parse_number(tokens[3], lineno, "h1 value")
-            h2 = _parse_number(tokens[4], lineno, "h2 value")
+            mu.append(_parse_number(tokens[2], lineno, "vertex measure", positive=True))
+            h1.append(_parse_number(tokens[3], lineno, "h1 value"))
+            h2.append(_parse_number(tokens[4], lineno, "h2 value"))
             seen[label] = lineno
-            vertices.append((label, mu, h1, h2))
-        elif kind == "edge":
+        elif tokens[0] == "edge":
             raise ParseError(
                 f"edge record needs 'edge <labelA> <labelB> <weight>', got {len(tokens) - 1} fields",
                 lineno,
             )
         else:
-            raise ParseError(f"unknown record type {kind!r}", lineno)
+            raise ParseError(f"unknown record type {tokens[0]!r}", lineno)
 
-    if not vertices:
+    if not seen:
         raise ParseError("file declares no vertices")
 
-    ends_a, ends_b, weight_tokens = ([t[k] for t in compress(rows, is_edge)] for k in (1, 2, 3))
     try:
-        weights = list(map(float, weight_tokens))
+        weights = np.fromiter(map(float, weight_tokens), float, len(weight_tokens))
     except ValueError:  # an unparsable weight fails the weight check
-        weights = [_float_or_nan(token) for token in weight_tokens]
+        weights = np.array([_float_or_nan(token) for token in weight_tokens])
     index = {label: i for i, label in enumerate(seen)}
     tails, heads, weight, fault = _index_edges(index, ends_a, ends_b, weights)
     if fault is not None:
         k, check = fault
-        lineno, a, b = list(compress(count(1), is_edge))[k], ends_a[k], ends_b[k]
+        a, b = ends_a[k], ends_b[k]
+        rows = (line.partition("#")[0].split() for line in text.splitlines())
+        lineno = [i for i, t in enumerate(rows, 1) if len(t) == 4 and t[0] == "edge"][k]
         if check == "weight":  # raises: the token is unparsable, not finite or not positive
             _parse_number(weight_tokens[k], lineno, "edge weight", positive=True)
         raise ParseError({
@@ -176,18 +185,9 @@ def parse_graph(path: str | Path) -> GraphDocument:
             "self-loop": f"self-loop at vertex {a!r}",
             "duplicate": f"duplicate edge {a!r}-{b!r}",
         }[check], lineno)
-    edges = list(zip(ends_a, ends_b, weights))
-    return GraphDocument(vertices, edges, ((tuple(seen), tuple(edges)), (tails, heads, weight)))
-
-
-def format_graph(doc: GraphDocument) -> str:
-    """Serialize a document back to the on-disk format."""
-    lines = [
-        f"vertex {label} {_float_token(mu)} {_float_token(h1)} {_float_token(h2)}"
-        for label, mu, h1, h2 in doc.vertices
-    ]
-    lines += [f"edge {a} {b} {_float_token(w)}" for a, b, w in doc.edges]
-    return "\n".join(lines) + "\n"
+    for arr in (tails, heads, weight):
+        arr.flags.writeable = False
+    return GraphDocument(tuple(seen), tuple(mu), tuple(h1), tuple(h2), tails, heads, weight)
 
 
 # ---------------------------------------------------------------------------

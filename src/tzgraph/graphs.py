@@ -19,9 +19,8 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
-from collections import deque
-from operator import eq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -69,7 +68,7 @@ class WeightedGraph:
         self,
         vertex_ids: Sequence[Hashable],
         mu: Sequence[float],
-        edges: Iterable[tuple[Hashable, Hashable, float]],
+        edges: Iterable[tuple[Hashable, Hashable, float]] = (),
         _checked_edges: tuple | None = None,
     ):
         ids = tuple(vertex_ids)
@@ -81,10 +80,10 @@ class WeightedGraph:
         mu_arr = np.array(mu, dtype=float)
         if mu_arr.shape != (len(ids),):
             raise GraphConstructionError(f"measure has {mu_arr.size} entries for {len(ids)} vertices")
-        if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
+        if not (mu_arr.min() > 0.0 and mu_arr.max() < np.inf):
             raise GraphConstructionError("vertex measure must be positive and finite")
 
-        # parse_graph passes the (tails, heads, weights) it found no fault in
+        # parse_graph passes the (tails, heads, weight) arrays it found no fault in
         if _checked_edges is None:
             index = {label: i for i, label in enumerate(ids)}
             ends_a, ends_b, weights = tuple(zip(*edges)) or ((), (), ())
@@ -102,18 +101,16 @@ class WeightedGraph:
         self.vertex_ids = ids
         self.mu = mu_arr
         self.volume = float(mu_arr.sum())
-        tails, heads = np.array(tails, dtype=int), np.array(heads, dtype=int)
         self.edge_tail, self.edge_head, self.edge_weight = tails, heads, weight
         for arr in (self.mu, self.edge_tail, self.edge_head, self.edge_weight):
             arr.flags.writeable = False
 
-        # each edge seen from both ends, sorted by vertex, then by neighbour
+        # compressed rows: each edge from both ends, sorted by vertex, then by neighbour; vertex
+        # i's neighbours are _nbrs[_starts[i]:_starts[i + 1]], as _starts[i] counts ends below i
         ends, nbrs = np.concatenate((tails, heads)), np.concatenate((heads, tails))
-        nbrs = nbrs[np.argsort(ends * len(ids) + nbrs)].tolist()
-        stops = np.bincount(ends, minlength=len(ids)).cumsum().tolist()
-        self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip([0, *stops], stops))
-
-        self._check_connected()
+        self._nbrs = nbrs[np.argsort(ends * len(ids) + nbrs)]
+        self._starts = np.bincount(ends + 1, minlength=len(ids) + 1).cumsum()
+        self._check_connected(ends, nbrs)
         self._neg_laplacian_cache: np.ndarray | None = None
         self._constants_cache: GraphConstants | None = None
 
@@ -127,19 +124,23 @@ class WeightedGraph:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Indices of the vertices adjacent to vertex ``i``, ascending."""
-        return self._adjacency[i]
+        i = range(self.n)[i]  # a negative i counts from the end, as in a sequence
+        return tuple(self._nbrs[self._starts[i] : self._starts[i + 1]].tolist())
 
-    def _check_connected(self) -> None:
-        reached = {0}
-        queue = deque([0])
-        while queue:
-            for w in self._adjacency[queue.popleft()]:
-                if w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        if len(reached) < self.n:
-            far = min(set(range(self.n)) - reached)
-            raise DisconnectedGraphError(self.vertex_ids[0], self.vertex_ids[far])
+    def _check_connected(self, ends: np.ndarray, nbrs: np.ndarray) -> None:
+        """Raise unless the pairs ``(ends, nbrs)`` join every vertex to vertex 0.
+
+        Each round points every root at the smallest root paired with it, then
+        follows pointers until each ends at a root.  Pointers never rise, so in
+        the end each part's root is its smallest vertex, and vertex 0's is 0.
+        """
+        root = np.arange(self.n)
+        while ((here := root[ends]) != (there := root[nbrs])).any():
+            np.minimum.at(root, here, there)
+            while ((up := root[root]) != root).any():
+                root = up
+        if root.any():
+            raise DisconnectedGraphError(self.vertex_ids[0], self.vertex_ids[root.nonzero()[0][0]])
 
     def diameter_edges(self) -> int:
         """Largest shortest-path edge count over all vertex pairs.
@@ -181,24 +182,24 @@ EDGE_CHECKS = ("endpoint", "self-loop", "duplicate", "weight")
 
 
 def _index_edges(index: dict, ends_a: Sequence, ends_b: Sequence, weights: Sequence[float]):
-    """Endpoint indices (-1 if unknown) and weights of an edge list, and its first fault.
+    """Endpoint index arrays (-1 if unknown) and weights of an edge list, and its first fault.
 
     The fault is None or ``(k, check)``: edge ``k`` is the first to fail one of ``EDGE_CHECKS``,
     each run on all edges at once, and ``check`` the first it fails, as a loop over edges finds.
     """
-    n = len(index)
-    tails = [index.get(a, -1) for a in ends_a]
-    heads = [index.get(b, -1) for b in ends_b]
-    keys = [i * n + j if i < j else j * n + i for i, j in zip(tails, heads)]  # < 0 if unknown
-    weight = np.array(weights, dtype=float)
-    bad_weight = ~(np.isfinite(weight) & (weight > 0.0))
-    if min(keys, default=0) >= 0 and not any(map(eq, tails, heads)) and len(set(keys)) == len(keys):
-        if not np.count_nonzero(bad_weight):
-            return tails, heads, weight, None
-    repeats = np.ones(len(keys), dtype=bool)  # every edge but the first of its pair
+    n, m = len(index), len(ends_a)
+    tails, heads = (np.fromiter(map(index.get, ends, repeat(-1)), int, m) for ends in (ends_a, ends_b))
+    weight = np.asarray(weights, dtype=float)
+    low, high = np.minimum(tails, heads), np.maximum(tails, heads)
+    keys = low * n + high  # < 0 if an endpoint is unknown, one per unordered pair otherwise
+    ordered = np.sort(keys)
+    if not m or (ordered[0] >= 0 and (low < high).all() and (ordered[1:] > ordered[:-1]).all()
+                 and weight.min() > 0.0 and weight.max() < np.inf):
+        return tails, heads, weight, None
+    repeats = np.ones(m, dtype=bool)  # every edge but the first of its pair
     repeats[np.unique(keys, return_index=True)[1]] = False
     # one row per check, one column per edge
-    failing = np.array([[key < 0 for key in keys], list(map(eq, tails, heads)), repeats, bad_weight])
+    failing = np.stack((low < 0, low == high, repeats, ~((weight > 0.0) & (weight < np.inf))))
     k = int(failing.any(axis=0).argmax())
     return tails, heads, weight, (k, EDGE_CHECKS[int(failing[:, k].argmax())])
 
@@ -251,12 +252,11 @@ def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
     """Dense matrix L with L @ u == laplacian(g, u)."""
     i, j = g.edge_tail, g.edge_head
     to_i, to_j = g.edge_weight / g.mu[i], g.edge_weight / g.mu[j]
-    # each edge adds at (i,j), (j,i), (i,i), (j,j) in turn, and np.add.at adds in
-    # sequence, so every diagonal entry sums its terms in edge order
-    rows = np.stack((i, j, i, j), axis=1).ravel()
-    cols = np.stack((j, i, i, j), axis=1).ravel()
     mat = np.zeros((g.n, g.n))
-    np.add.at(mat, (rows, cols), np.stack((to_i, to_j, -to_i, -to_j), axis=1).ravel())
+    mat[i, j], mat[j, i] = to_i, to_j  # each unordered pair is one edge
+    # bincount sums each vertex's terms in edge order, i's before j's within an edge
+    ends = np.stack((i, j), axis=1).ravel()
+    mat.flat[:: g.n + 1] -= np.bincount(ends, np.stack((to_i, to_j), axis=1).ravel(), g.n)
     return mat
 
 

@@ -32,7 +32,7 @@ from tzgraph import (
     linalg,
     residual,
 )
-from tzgraph.cli import GraphDocument, _Parser
+from tzgraph.cli import GraphDocument, _float_token, _Parser
 from tzgraph.errors import (
     DegenerateRootError,
     DisconnectedGraphError,
@@ -425,6 +425,18 @@ def fd_gradient(fun, u, tau: float = 1e-6):
         bump[x] = tau
         out[x] = (fun(u + bump) - fun(u - bump)) / (2 * tau)
     return out
+
+
+def laplacian_matrix_add_at_oracle(g: WeightedGraph) -> np.ndarray:
+    """``laplacian_matrix`` as it was before the direct assignment: one ``np.add.at`` that
+    adds each edge's four entries at (i, j), (j, i), (i, i) and (j, j), in edge order."""
+    i, j = g.edge_tail, g.edge_head
+    to_i, to_j = g.edge_weight / g.mu[i], g.edge_weight / g.mu[j]
+    rows = np.stack((i, j, i, j), axis=1).ravel()
+    cols = np.stack((j, i, i, j), axis=1).ravel()
+    mat = np.zeros((g.n, g.n))
+    np.add.at(mat, (rows, cols), np.stack((to_i, to_j, -to_i, -to_j), axis=1).ravel())
+    return mat
 
 
 def laplacian_matrix_oracle(g: WeightedGraph) -> np.ndarray:
@@ -1026,8 +1038,12 @@ def _parse_number_oracle(token, line, what):
     return value
 
 
-def parse_graph_oracle(path) -> GraphDocument:
-    """``cli.parse_graph`` as it was written before the bulk edge checks: one loop per line, then one per edge."""
+def parse_graph_oracle(path):
+    """``cli.parse_graph`` as it was written before the bulk edge checks: one loop per line, then one per edge.
+
+    Returns the document as rows, ``(vertices, edges)`` with a ``(label, mu, h1, h2)`` tuple per
+    vertex and a ``(label, label, weight)`` tuple per edge, in file order.
+    """
     try:
         text = open(path, "rb").read().decode("utf-8")
     except UnicodeDecodeError:
@@ -1086,7 +1102,21 @@ def parse_graph_oracle(path) -> GraphDocument:
         if w <= 0.0:
             raise ParseError(f"edge weight must be positive, got {w:g}", lineno)
         edges.append((a, b, w))
-    return GraphDocument(vertices, edges)
+    return vertices, edges
+
+
+def document_rows(doc: GraphDocument):
+    """A columnar ``cli.GraphDocument`` as the rows ``parse_graph_oracle`` returns."""
+    vertices = list(zip(doc.labels, doc.mu, doc.h1, doc.h2))
+    ends = zip(doc.tails.tolist(), doc.heads.tolist(), doc.weight.tolist())
+    return vertices, [(doc.labels[i], doc.labels[j], w) for i, j, w in ends]
+
+
+def graph_text(vertices, edges) -> str:
+    """A graph file holding the given rows, numbers at 17 significant digits."""
+    lines = [" ".join(["vertex", label, *map(_float_token, values)]) for label, *values in vertices]
+    lines += [f"edge {a} {b} {_float_token(w)}" for a, b, w in edges]
+    return "\n".join(lines) + "\n"
 
 
 def mean_constant_root_oracle(spec: ProblemSpec, g: WeightedGraph, lo: float, hi: float) -> float:

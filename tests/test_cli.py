@@ -1,6 +1,7 @@
 """File format, argument parsing, report rendering, exit codes, and robustness."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,13 +17,11 @@ import helpers
 import tzgraph
 from tzgraph import SolverConfig, cli, degree, estimate_degree
 from tzgraph.cli import (
-    GraphDocument,
     UsageError,
     build_parser,
     canonical_json,
     canonical_text,
     entrypoint,
-    format_graph,
     main,
     parse_graph,
 )
@@ -51,16 +50,18 @@ def run(capsys, argv):
 
 def test_parse_k2(tmp_path):
     doc = parse_graph(write(tmp_path, K2_LINES))
-    assert len(doc.vertices) == 2
-    assert len(doc.edges) == 1
-    assert doc.vertices[0] == ("a", 1.0, 1.0, -1.0)
-    assert doc.edges[0] == ("a", "b", 1.0)
+    vertices, edges = helpers.document_rows(doc)
+    assert len(vertices) == 2
+    assert len(edges) == 1
+    assert vertices[0] == ("a", 1.0, 1.0, -1.0)
+    assert edges[0] == ("a", "b", 1.0)
+    assert doc.tails.tolist() == [0] and doc.heads.tolist() == [1]
 
 
 def test_parse_comments_and_blanks(tmp_path):
     text = "# heading\n\nvertex a 1 1 -1  # inline\nvertex b 2 1 -1\n\nedge a b 0.5\n"
     doc = parse_graph(write(tmp_path, text))
-    assert len(doc.vertices) == 2 and doc.vertices[1][1] == 2.0
+    assert len(doc.labels) == 2 and doc.mu[1] == 2.0
 
 
 def test_parse_unknown_endpoint_cites_line(tmp_path):
@@ -92,20 +93,33 @@ def test_parse_rejections(tmp_path, text, needle):
     assert needle in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [K2_LINES, "vertex a 1 1 -1\nvertex b 1 1 -1\nedge a ghost 1\n", "vortex a 1 1 -1\n", "# note\n"],
+)
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, capsys, text):
+    plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for command in ("bounds", "solve"):
+        argv = [command, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"]
+        code, out, err = run(capsys, [*argv, str(plain)])
+        assert (code == 0) == (text == K2_LINES)
+        assert run(capsys, [*argv, str(marked)]) == (code, out.replace(str(plain), str(marked)), err)
+
+
 def test_round_trip_random_documents(tmp_path):
     rng = np.random.default_rng(401)
     for trial in range(20):
         n = int(rng.integers(1, 8))
         data = helpers.random_graph_data(rng, n)
-        doc = GraphDocument(
-            [
-                (label, data["mu"][i], float(rng.uniform(0.2, 3)), float(rng.uniform(-3, 3)))
-                for i, label in enumerate(data["ids"])
-            ],
-            data["edges"],
-        )
-        reparsed = parse_graph(write(tmp_path, format_graph(doc), f"t{trial}.graph"))
-        assert reparsed == doc
+        vertices = [
+            (label, data["mu"][i], float(rng.uniform(0.2, 3)), float(rng.uniform(-3, 3)))
+            for i, label in enumerate(data["ids"])
+        ]
+        reparsed = parse_graph(write(tmp_path, helpers.graph_text(vertices, data["edges"]), f"t{trial}.graph"))
+        assert helpers.document_rows(reparsed) == (vertices, data["edges"])
 
 
 def test_a_parsed_graph_checks_its_edges_once(tmp_path, monkeypatch):
@@ -120,54 +134,48 @@ def test_a_parsed_graph_checks_its_edges_once(tmp_path, monkeypatch):
     monkeypatch.setattr(tzgraph.cli, "_index_edges", counted)
     rng = np.random.default_rng(409)
     data = helpers.random_graph_data(rng, 7)
-    doc = GraphDocument([(label, m, 1.0, -1.0) for label, m in zip(data["ids"], data["mu"])], data["edges"])
-    parsed = parse_graph(write(tmp_path, format_graph(doc)))
+    vertices = [(label, m, 1.0, -1.0) for label, m in zip(data["ids"], data["mu"])]
+    parsed = parse_graph(write(tmp_path, helpers.graph_text(vertices, data["edges"])))
     g = parsed.to_graph()[0]
     assert len(calls) == 1
-    # a document built in code has its edges checked when it becomes a graph
-    checked = doc.to_graph()[0]
+    # edges passed in from code are checked when they become a graph
+    checked = tzgraph.WeightedGraph(data["ids"], data["mu"], data["edges"])
     assert len(calls) == 2
     for name in ("edge_tail", "edge_head", "edge_weight"):
         assert getattr(g, name).tobytes() == getattr(checked, name).tobytes()
     assert [g.neighbors(i) for i in range(g.n)] == [checked.neighbors(i) for i in range(g.n)]
     with pytest.raises(tzgraph.GraphConstructionError):
-        GraphDocument(doc.vertices, doc.edges + [(data["ids"][0], "ghost", 1.0)]).to_graph()
+        tzgraph.WeightedGraph(data["ids"], data["mu"], data["edges"] + [(data["ids"][0], "ghost", 1.0)])
 
 
 PATH3_LINES = "vertex a 1 1 -1\nvertex b 2 1 -1\nvertex c 1 1 -1\nedge a b 1\nedge b c 3\n"
 
 
-def same_edges(doc: GraphDocument):
-    """The graph of ``doc`` has the edge arrays of a graph built from its lists directly."""
-    g = doc.to_graph()[0]
-    labels, mu = [v[0] for v in doc.vertices], [v[1] for v in doc.vertices]
-    direct = tzgraph.WeightedGraph(labels, mu, doc.edges)
-    names = ("edge_tail", "edge_head", "edge_weight")
-    return all(getattr(g, k).tobytes() == getattr(direct, k).tobytes() for k in names)
-
-
-@pytest.mark.parametrize("edge", [("a", "a", 1.0), ("a", "ghost", -2.0)])
-def test_an_edited_document_checks_an_appended_edge(tmp_path, edge):
+@pytest.mark.parametrize("column,attribute", [("tails", "edge_tail"), ("heads", "edge_head"), ("weight", "edge_weight")])
+def test_a_parsed_document_keeps_its_checked_columns_read_only(tmp_path, column, attribute):
     doc = parse_graph(write(tmp_path, PATH3_LINES))
-    doc.edges.append(edge)
-    with pytest.raises(tzgraph.GraphConstructionError):
-        doc.to_graph()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(doc, column, getattr(doc, column)[::-1])
+    with pytest.raises(ValueError):
+        getattr(doc, column)[0] = 0
+    # the graph takes the checked arrays as they are
+    assert getattr(doc.to_graph()[0], attribute) is getattr(doc, column)
 
 
-def test_an_edited_document_builds_its_graph_from_its_edges(tmp_path):
-    path = write(tmp_path, PATH3_LINES)
-    appended = parse_graph(path)
-    appended.edges.append(("a", "c", 2.0))
-    assert same_edges(appended) and appended.to_graph()[0].edge_tail.size == 3
-    replaced = parse_graph(path)
-    replaced.edges[0] = ("a", "c", 0.5)
-    assert same_edges(replaced) and replaced.to_graph()[0].neighbors(0) == (2,)
-    reordered = parse_graph(path)
-    reordered.vertices.reverse()
-    g = reordered.to_graph()[0]
-    assert same_edges(reordered) and g.vertex_ids == ("c", "b", "a") and g.neighbors(1) == (0, 2)
-    assert g.neighbors(0) == (1,) and g.edge_weight.tolist() == [1.0, 3.0]
-    assert same_edges(parse_graph(path))
+def test_a_document_builds_the_graph_its_rows_build(tmp_path):
+    g = parse_graph(write(tmp_path, PATH3_LINES)).to_graph()[0]
+    direct = tzgraph.WeightedGraph(["a", "b", "c"], [1.0, 2.0, 1.0], [("a", "b", 1.0), ("b", "c", 3.0)])
+    for name in ("edge_tail", "edge_head", "edge_weight"):
+        assert getattr(g, name).tobytes() == getattr(direct, name).tobytes()
+    assert [g.neighbors(i) for i in range(-3, 3)] == [(1,), (0, 2), (1,)] * 2
+    with pytest.raises(IndexError):
+        g.neighbors(3)
+    # the vertex order of the file fixes the indices
+    reordered = "vertex c 1 1 -1\nvertex b 2 1 -1\nvertex a 1 1 -1\nedge a b 1\nedge b c 3\n"
+    g = parse_graph(write(tmp_path, reordered, "r.graph")).to_graph()[0]
+    assert g.vertex_ids == ("c", "b", "a") and g.neighbors(1) == (0, 2) and g.neighbors(0) == (1,)
+    assert g.edge_tail.tolist() == [2, 1] and g.edge_head.tolist() == [1, 0]
+    assert g.edge_weight.tolist() == [1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ def test_multiplicity_searches_barriers_once(tmp_path, capsys, monkeypatch, make
     data = helpers.random_graph_data(rng, 4)
     spec = make_spec(rng, 4)
     vertices = list(zip(data["ids"], data["mu"], spec.h1.tolist(), spec.h2.tolist()))
-    path = write(tmp_path, format_graph(GraphDocument(vertices, data["edges"])))
+    path = write(tmp_path, helpers.graph_text(vertices, data["edges"]))
     calls = {"_barrier_powers": 0, "_negative_crossings": 0}
 
     def counted(name, fn):

@@ -65,12 +65,18 @@ def test_laplacian_matrix_matches_operator():
 def test_laplacian_matrix_matches_the_edge_loop_bitwise():
     rng = np.random.default_rng(11)
     graphs = [helpers.random_graph(rng, 1), helpers.k2(), helpers.path3()]
-    for _ in range(60):
-        data = helpers.random_graph_data(rng, int(rng.integers(2, 41)))
+    for n in [*rng.integers(2, 41, 60).tolist(), 100, 200]:
+        data = helpers.random_graph_data(rng, n)
         rng.shuffle(data["edges"])
         graphs.append(helpers.build_graph(data))
+        # a star, whose centre sums every edge, and a path, each in random order
+        ids, weights = data["ids"], rng.uniform(0.5, 2.0, n).tolist()
+        for edges in ([(ids[0], b, w) for b, w in zip(ids[1:], weights)], list(zip(ids, ids[1:], weights))):
+            rng.shuffle(edges)
+            graphs.append(helpers.build_graph({"ids": ids, "mu": data["mu"], "edges": edges}))
     for g in graphs:
-        assert laplacian_matrix(g).tobytes() == helpers.laplacian_matrix_oracle(g).tobytes()
+        expected = helpers.laplacian_matrix_oracle(g).tobytes()
+        assert laplacian_matrix(g).tobytes() == expected == helpers.laplacian_matrix_add_at_oracle(g).tobytes()
 
 
 def test_gradient_norm_sq_constant():
