@@ -355,6 +355,11 @@ def _cmd_check(spec, g, cfg, args):
     return result, _applicable_box(spec, g), 0 if all_passed else 3
 
 
+def _central_difference(fun, u: np.ndarray, tau: float = 1e-6) -> np.ndarray:
+    """Row x is ``(fun(u + tau e_x) - fun(u - tau e_x)) / (2 tau)``, the derivative along e_x."""
+    return np.array([(fun(u + bump) - fun(u - bump)) / (2 * tau) for bump in tau * np.eye(u.size)])
+
+
 def _run_checks(spec, g, cfg, args) -> list[dict]:
     rng = np.random.default_rng(args.seed)
     n = g.n
@@ -388,14 +393,11 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
             violations += 1
     record("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields")
 
-    tau = 1e-6
     worst = 0.0
     for _ in range(2):
         u = rng.normal(0.0, 0.4, n)
         jac = jacobian(spec, g, u)
-        for x in range(n):
-            bump = tau * np.eye(n)[x]
-            column = (residual(spec, g, u + bump) - residual(spec, g, u - bump)) / (2 * tau)
+        for x, column in enumerate(_central_difference(lambda v: residual(spec, g, v), u)):
             scale = max(float(np.maximum.reduce(np.abs(jac[:, x]))), 1.0)
             worst = max(worst, float(np.maximum.reduce(np.abs(column - jac[:, x]))) / scale)
     record("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}")
@@ -429,11 +431,7 @@ def _run_checks(spec, g, cfg, args) -> list[dict]:
         for _ in range(20):
             u = rng.normal(0.0, 0.4, n)
             grad = energy_gradient(spec, g, u)
-            fd = np.zeros(n)
-            for x in range(n):
-                bump = tau * np.eye(n)[x]
-                fd[x] = (energy(spec, g, u + bump) - energy(spec, g, u - bump)) / (2 * tau)
-            fd /= g.mu
+            fd = _central_difference(lambda v: energy(spec, g, v), u) / g.mu
             scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
             worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
         record("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}")

@@ -148,13 +148,10 @@ def _enumerate_signed_roots(
     roots: list[np.ndarray] = []
     signs: list[int] = []
 
-    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
-    for x in range(dim):
-        bump = np.zeros(dim)
-        bump[x] = 1.0
-        offsets.extend((bump, -bump))
-    unique = {tuple(o) for o in offsets}
-    offsets = [np.array(o) for o in sorted(unique)]
+    # the constant and the coordinate vectors, both signs, in lexicographic order:
+    # -1, -e_0, ..., -e_{n-1}, e_{n-1}, ..., e_0, 1, where in one dimension 1 is e_0
+    eye = np.eye(dim)
+    offsets = np.vstack((-eye, eye[::-1]) if dim == 1 else (-np.ones(dim), -eye, eye[::-1], np.ones(dim)))
     distances = [4.0 * DEDUP_RADIUS] + [s * radius for s in _FOLD_RELATIVE_SCALES]
 
     def fold_direction(center: np.ndarray) -> np.ndarray | None:
@@ -257,8 +254,8 @@ def estimate_degree(
       holds it.  One Newton run from 0, the run the enumeration certifies
       first, finds it: if it converges with sign +1 the report holds that
       root, degree 1 and one start, or, when the root lies outside a given
-      radius, no root and degree 0.  A run that fails falls back to the
-      enumeration.
+      radius, no root and degree 0.  A failed run leaves the root list to
+      the enumeration; on the default ball the degree stays 1.
     - Generalized, default ball (which needs ``h2 > 0``): the ball strictly
       holds the ``bounds_generalized`` box, which bounds the zeros of every
       member ``t`` in [0, 1] of the deformation, so no zero crosses the
@@ -299,11 +296,12 @@ def estimate_degree(
                 return DegreeReport((), (), 0, radius, 1, Confidence.PROVEN)
     roots, signs, runs = _enumerate_signed_roots(spec, g, None, radius, cfg, n_starts)
     ordered_roots, ordered_signs = _canonical_order(roots, signs)
-    proven_zero = default_ball and spec.kind is Kind.GENERALIZED
+    # on the default ball a proof above gives the degree: classic reaches here only with h2 < 0
+    proven = (1 if spec.kind is Kind.CLASSIC else 0) if default_ball else None
     return DegreeReport(
         ordered_roots,
         ordered_signs,
-        0 if proven_zero else int(sum(ordered_signs)),
+        int(sum(ordered_signs)) if proven is None else proven,
         radius,
         runs,
         Confidence.HEURISTIC,

@@ -96,6 +96,7 @@ def bounds_generalized(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
         lower = -(1/B) log(1/2 + sqrt(C2 / (min h2 * mu0) + 1/4))
 
     and the box always contains 0, which solves the equation identically.
+    Where a quotient or ``e^{2 A upper}`` leaves the normal floats, it runs in logs.
     """
     if spec.kind is not Kind.GENERALIZED:
         raise BoundsInapplicableError("generalized bounds apply to the generalized kind only")
@@ -111,10 +112,22 @@ def bounds_generalized(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
     volume = g.volume
     mu0 = float(g.mu.min())
 
-    upper = math.log(0.5 + math.sqrt(max_h2 / (4.0 * min_h1) + 0.25)) / spec.A
-    majorant = max_h2 * volume + max_h1 * max(0.25, math.exp(2.0 * spec.A * upper)) * volume
-    lower = -math.log(0.5 + math.sqrt(majorant / (min_h2 * mu0) + 0.25)) / spec.B
+    log = math.log
+    upper = _log_root(max_h2 / (4.0 * min_h1), log(max_h2) - log(4.0) - log(min_h1)) / spec.A
+    growth = 2.0 * spec.A * upper  # e^growth overflows past 709.78
+    majorant = max_h2 * volume + max_h1 * max(0.25, math.exp(growth)) * volume if growth < 709.0 else math.inf
+    log_majorant = log(volume) + float(np.logaddexp(log(max_h2), log(max_h1) + max(log(0.25), growth)))
+    lower = -_log_root(majorant / (min_h2 * mu0), log_majorant - log(min_h2) - log(mu0)) / spec.B
     return _make_box(lower, upper)
+
+
+def _log_root(q: float, log_q: float) -> float:
+    """``log(1/2 + sqrt(q + 1/4))``, from ``log q`` where the computed ``q`` is not a normal float."""
+    if not sys.float_info.min <= q < math.inf:
+        if log_q > 700.0:
+            return 0.5 * log_q  # sqrt(q) > e^350 swamps the 1/2 and the 1/4
+        q = math.exp(log_q)
+    return math.log(0.5 + math.sqrt(q + 0.25))
 
 
 def elliptic_constant(g: WeightedGraph) -> float:

@@ -105,12 +105,7 @@ class WeightedGraph:
         for arr in (self.mu, self.edge_tail, self.edge_head, self.edge_weight):
             arr.flags.writeable = False
 
-        # compressed rows: each edge from both ends, sorted by vertex, then by neighbour; vertex
-        # i's neighbours are _nbrs[_starts[i]:_starts[i + 1]], as _starts[i] counts ends below i
-        ends, nbrs = np.concatenate((tails, heads)), np.concatenate((heads, tails))
-        self._nbrs = nbrs[np.argsort(ends * len(ids) + nbrs)]
-        self._starts = np.bincount(ends + 1, minlength=len(ids) + 1).cumsum()
-        self._check_connected(ends, nbrs)
+        self._check_connected(np.concatenate((tails, heads)), np.concatenate((heads, tails)))
         self._neg_laplacian_cache: np.ndarray | None = None
         self._constants_cache: GraphConstants | None = None
 
@@ -125,7 +120,8 @@ class WeightedGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Indices of the vertices adjacent to vertex ``i``, ascending."""
         i = range(self.n)[i]  # a negative i counts from the end, as in a sequence
-        return tuple(self._nbrs[self._starts[i] : self._starts[i + 1]].tolist())
+        ends = np.concatenate((self.edge_head[self.edge_tail == i], self.edge_tail[self.edge_head == i]))
+        return tuple(np.sort(ends).tolist())
 
     def _check_connected(self, ends: np.ndarray, nbrs: np.ndarray) -> None:
         """Raise unless the pairs ``(ends, nbrs)`` join every vertex to vertex 0.

@@ -146,27 +146,20 @@ def first_primes(count: int) -> list[int]:
     return primes
 
 
-def _van_der_corput(index: int, base: int) -> float:
-    x = 0.0
-    f = 1.0 / base
-    while index > 0:
-        x += (index % base) * f
-        index //= base
-        f /= base
-    return x
-
-
 def halton_ball(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points in the sup-norm ball of the given radius.
 
     Deterministic for fixed ``(dim, count, radius, seed)``; the seed shifts
     the Halton index window so distinct seeds draw distinct point sets.
+    Coordinate j is the index's radical inverse in the j-th prime; indices below 1 give 0.
     """
     if count <= 0:
         return np.zeros((0, dim))
-    bases = first_primes(dim)
-    offset = 1 + seed * count
-    points = np.empty((count, dim))
-    for j, base in enumerate(bases):
-        points[:, j] = [_van_der_corput(offset + i, base) for i in range(count)]
+    offset = 1 + seed * count  # past int64, the window holds Python ints
+    window = np.arange(offset, offset + count, dtype=np.int64 if abs(offset) + count < 2**62 else object)
+    bases = np.array(first_primes(dim))
+    index, f, points = window[:, None], 1.0 / bases, np.zeros((count, dim))
+    while (index > 0).any():  # a negative seed's window lies wholly below 1, so its points stay 0
+        points += (index % bases).astype(float) * f
+        index, f = index // bases, f / bases
     return radius * (2.0 * points - 1.0)

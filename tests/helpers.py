@@ -291,15 +291,25 @@ def classic_sweep_oracle(data, spec: ProblemSpec, sweeps: int = 2000, tol: float
     return np.array(u)
 
 
+def adjacency_oracle(g: WeightedGraph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, by a loop over the edge list."""
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in zip(g.edge_tail.tolist(), g.edge_head.tolist()):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return [sorted(nbrs) for nbrs in adjacency]
+
+
 def diameter_oracle(g: WeightedGraph) -> int:
     """Largest shortest-path edge count, by a breadth-first search from every vertex."""
+    adjacency = adjacency_oracle(g)
     best = 0
     for source in range(g.n):
         dist = {source: 0}
         queue = deque([source])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in adjacency[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -660,6 +670,49 @@ def newton_system_oracle(
     return SolveReport(_freeze(u), norm, iterations, jac_sign, converged, tuple(history))
 
 
+def van_der_corput_oracle(index: int, base: int) -> float:
+    """Radical inverse of one index, digit by digit; an index below 1 maps to 0."""
+    x = 0.0
+    f = 1.0 / base
+    while index > 0:
+        x += (index % base) * f
+        index //= base
+        f /= base
+    return x
+
+
+def halton_ball_oracle(dim: int, count: int, radius: float, seed: int = 0) -> np.ndarray:
+    """``linalg.halton_ball`` as a loop over points, one radical inverse at a time."""
+    if count <= 0:
+        return np.zeros((0, dim))
+    offset = 1 + seed * count
+    points = np.empty((count, dim))
+    for j, base in enumerate(linalg.first_primes(dim)):
+        points[:, j] = [van_der_corput_oracle(offset + i, base) for i in range(count)]
+    return radius * (2.0 * points - 1.0)
+
+
+def probe_offsets_oracle(dim: int) -> list[np.ndarray]:
+    """The enumerator's probe offsets: the constant 1 and each coordinate, both signs, as sorted tuples."""
+    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
+    for x in range(dim):
+        bump = np.zeros(dim)
+        bump[x] = 1.0
+        offsets.extend((bump, -bump))
+    unique = {tuple(o) for o in offsets}
+    return [np.array(o) for o in sorted(unique)]
+
+
+def central_difference_oracle(fun, u, tau: float = 1e-6) -> np.ndarray:
+    """``cli._central_difference`` as it was written twice: one unit vector per column."""
+    n = u.size
+    rows = []
+    for x in range(n):
+        bump = tau * np.eye(n)[x]
+        rows.append((fun(u + bump) - fun(u - bump)) / (2 * tau))
+    return np.array(rows)
+
+
 def enumerate_signed_roots_oracle(
     fun: Callable[[np.ndarray], np.ndarray],
     jac_fun: Callable[[np.ndarray], np.ndarray],
@@ -739,13 +792,7 @@ def enumerate_signed_roots_oracle(
         if found is not None:
             probe_queue.append(found)
 
-    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
-    for x in range(dim):
-        bump = np.zeros(dim)
-        bump[x] = 1.0
-        offsets.extend((bump, -bump))
-    unique = {tuple(o) for o in offsets}
-    offsets = [np.array(o) for o in sorted(unique)]
+    offsets = probe_offsets_oracle(dim)
 
     def fold_direction(center: np.ndarray) -> np.ndarray | None:
         try:
@@ -938,13 +985,7 @@ def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newto
 
     run_block(starts)
 
-    offsets: list[np.ndarray] = [np.ones(dim), -np.ones(dim)]
-    for x in range(dim):
-        bump = np.zeros(dim)
-        bump[x] = 1.0
-        offsets.extend((bump, -bump))
-    unique = {tuple(o) for o in offsets}
-    offsets = [np.array(o) for o in sorted(unique)]
+    offsets = probe_offsets_oracle(dim)
     distances = [4.0 * degree.DEDUP_RADIUS] + [s * radius for s in degree._FOLD_RELATIVE_SCALES]
 
     def fold_direction(center: np.ndarray) -> np.ndarray | None:

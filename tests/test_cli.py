@@ -611,6 +611,61 @@ def test_extreme_coefficient_ratios_get_an_answer(tmp_path, capsys, h1, h2, side
         assert code in (0, 2, 3) and len(err.splitlines()) <= 1
 
 
+@pytest.mark.parametrize(
+    "h1,h2,lower,upper",
+    [("1e-300", "1e300", -0.5450791389023874, 690.0823807176538), ("1e300", "1e-300", -690.7755278982137, 0.0)],
+)
+def test_extreme_generalized_ratios_get_the_box_in_logs(tmp_path, capsys, h1, h2, lower, upper):
+    path = write(tmp_path, f"vertex o 1 {h1} {h2}\n")
+    argv = [path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp"]
+    code, out, _ = run(capsys, ["bounds", *argv])
+    box = json.loads(out)["box"]
+    assert code == 0
+    assert box["lower"] == pytest.approx(lower, rel=1e-12) and box["upper"] == pytest.approx(upper, rel=1e-12)
+    for command in ("solve", "degree", "check", "multiplicity"):
+        code, _, err = run(capsys, [command, *argv])
+        assert code in (0, 2, 3) and err.count("\n") == (code != 0)
+        assert code == 0 or err.startswith("error: ")
+
+
+CLASSIC_FAR_ROOT = {
+    2: "vertex o 1 1e-30 -1e30\nvertex p 1 1e-30 -1e30\nedge o p 1\n",
+    3: "vertex o 1 1e-30 -1e30\nvertex p 1 1e-30 -1e30\nvertex q 1 1e-30 -1e30\nedge o p 1\nedge p q 1\n",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIC_FAR_ROOT))
+def test_degree_reports_the_proven_classic_degree_when_its_run_fails(tmp_path, capsys, n):
+    # the root at log(1e60) / 2 ~ 69.08 is out of reach of a 60-iteration run from 0
+    path = write(tmp_path, CLASSIC_FAR_ROOT[n])
+    code, out, _ = run(capsys, ["degree", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["degree"] == 1 and result["exhaustive_confidence"] == "heuristic"
+    assert result["enumerated_degree"] == sum(result["signs"]) and result["starts_used"] == 64
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="continuation reads the t = 1 member's Jacobian at 0, -L + 5e-13 I, as singular (ROADMAP item 3)",
+)
+def test_classic_solve_on_a_tiny_h1_finds_the_root(tmp_path, capsys):
+    path = write(tmp_path, "vertex a 1 1e-12 -1\nvertex b 1 1e-12 -1\nedge a b 1\n")
+    code, out, err = run(capsys, ["solve", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["solution"] == pytest.approx([math.log(1e12) / 2] * 2, rel=1e-12)
+
+
+def test_central_difference_matches_the_column_loop_bitwise():
+    rng = np.random.default_rng(419)
+    for n in (1, 2, 5, 12):
+        g = helpers.random_graph(rng, n)
+        spec = helpers.generalized_spec(rng, n)
+        u = rng.normal(0.0, 0.4, n)
+        for fun in (lambda v: tzgraph.residual(spec, g, v), lambda v: tzgraph.energy(spec, g, v)):
+            got = cli._central_difference(fun, u)
+            assert got.tobytes() == helpers.central_difference_oracle(fun, u).tobytes()
+
+
 def test_degree_on_one_vertex_lists_the_generalized_zero_root_as_zero(tmp_path, capsys):
     path = write(tmp_path, "vertex o 1 1.3 0.7\n")
     code, out, _ = run(

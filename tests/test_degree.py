@@ -17,6 +17,7 @@ from tzgraph import (
     Kind,
     ProblemSpec,
     SolverConfig,
+    WeightedGraph,
     degree_single_vertex,
     estimate_degree,
     jacobian,
@@ -511,3 +512,41 @@ def test_homotopy_invariance_single_vertex_matches_proven():
     spec = helpers.generalized_spec(rng, 1)
     assert verify_homotopy_invariance(spec, g1, CFG, n_starts=16)
     assert estimate_degree(spec, g1, CFG, n_starts=16).degree == degree_single_vertex(spec).degree
+
+
+def test_each_root_queues_its_probes_along_the_offset_oracle_bitwise(monkeypatch):
+    # the first start passes and every later one fails, so the second block the enumerator
+    # screens holds the other starts, then the root's probes in the order they were queued
+    blocks = []
+
+    def screen(fun, jac, starts, cfg, known, escape, lanes):
+        blocks.append(starts)
+        passed = np.array([True]) if len(blocks) == 1 else np.zeros(len(starts), dtype=bool)
+        return starts[: len(passed)], np.zeros(len(passed), dtype=int), passed
+
+    monkeypatch.setattr(degree, "_newton_block", screen)
+    rng = np.random.default_rng(359)
+    n_starts = 8
+    for dim in [*range(1, 65), 100, 200]:
+        g = helpers.random_graph(rng, dim, extra_edge_prob=0.0)
+        spec = helpers.classic_spec(rng, dim)
+        radius = degree._default_radius(spec, g)
+        blocks.clear()
+        (root,), _, _ = degree._enumerate_signed_roots(spec, g, None, radius, CFG, n_starts)
+        offsets = helpers.probe_offsets_oracle(dim)
+        want = np.array([root + s * radius * o for s in degree._PROBE_SCALES for o in offsets])
+        assert blocks[1][n_starts - 1 : n_starts - 1 + len(want)].tobytes() == want.tobytes(), dim
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classic_degree_stays_proven_when_the_run_from_zero_fails(n):
+    # the root sits at log(1e60) / 2 ~ 69.08 on every vertex; from 0 Newton takes about one
+    # unit step an iteration, and enumeration runs stop after 60
+    g = WeightedGraph(range(n), np.ones(n), [(i, i + 1, 1.0) for i in range(n - 1)])
+    spec = constant_spec(Kind.CLASSIC, n, 1e-30, -1e30)
+    report = estimate_degree(spec, g, CFG)
+    assert report.degree == 1 and report.exhaustive_confidence is Confidence.HEURISTIC
+    assert report.enumerated_degree == sum(report.signs) and report.starts_used == 64
+    # a given radius has no proof behind it and keeps the signed count
+    given = estimate_degree(spec, g, CFG, radius=100.0)
+    assert given.degree == given.enumerated_degree == sum(given.signs)

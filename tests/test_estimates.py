@@ -18,6 +18,7 @@ from tzgraph import (
     newton,
     residual,
 )
+from tzgraph import estimates
 from tzgraph.graphs import WeightedGraph
 
 
@@ -132,3 +133,58 @@ def test_elliptic_estimate_random_audit():
         spread = float(u.max() - u.min())
         assert spread <= c * float(np.max(np.abs(laplacian(g, u)))) + 1e-12
         assert 0.0 <= c * float(np.max(np.abs(laplacian(g, np.full(n, 3.3)))))
+
+
+# 40-digit references for one vertex with mu = 1 and A = B = 1
+@pytest.mark.parametrize(
+    "h1,h2,lower,upper",
+    [
+        (1e-300, 1e300, -0.5450791389023874298584076799056509394195, 690.0823807176537598959802042838510857123),
+        (1e300, 1e-300, -690.7755278982137052053974364053092622803, 0.0),
+    ],
+)
+def test_generalized_box_on_extreme_ratios_runs_in_logs(h1, h2, lower, upper):
+    # max h2 / (4 min h1) or C2 / (min h2 mu0) overflows, and e^{2 A upper} with it
+    box = bounds_generalized(constant_spec(Kind.GENERALIZED, 1, h1, h2), WeightedGraph(["o"], [1.0]))
+    assert box.lower == pytest.approx(lower, rel=1e-12)
+    assert box.upper == pytest.approx(upper, rel=1e-12)
+
+
+def test_generalized_log_chain_meets_the_float_chain():
+    for q in np.geomspace(1e-300, 1e300, 61):
+        from_log = estimates._log_root(math.inf, math.log(q))
+        assert from_log == pytest.approx(estimates._log_root(q, math.nan), rel=1e-12, abs=1e-16)
+    assert estimates._log_root(math.inf, 2000.0) == 1000.0
+
+
+def test_generalized_box_is_finite_and_continuous_across_the_float_range():
+    g = helpers.k2(mu=(1.0, 2.0))
+    for h1 in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+        boxes = [
+            bounds_generalized(constant_spec(Kind.GENERALIZED, 2, h1, 10.0**k), g)
+            for k in np.arange(-300.0, 300.01, 0.25)
+        ]
+        for box in boxes:
+            assert -math.inf < box.lower <= 0.0 <= box.upper < math.inf
+        # h2 grows by 10^0.25 a step, so neither bound moves by more than log(10^0.25) / 2 ~ 0.29,
+        # also where the chain switches to logs
+        uppers = [box.upper for box in boxes]
+        lowers = [box.lower for box in boxes]
+        assert uppers == sorted(uppers)
+        assert max(np.abs(np.diff(uppers))) < 0.3 and max(np.abs(np.diff(lowers))) < 0.3
+
+
+def test_generalized_box_keeps_the_float_chain_bits_in_the_normal_range():
+    rng = np.random.default_rng(113)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        g = helpers.random_graph(rng, n)
+        spec = ProblemSpec(
+            Kind.GENERALIZED, 10.0 ** rng.uniform(-8, 8, n), 10.0 ** rng.uniform(-8, 8, n),
+            float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)),
+        )
+        box = bounds_generalized(spec, g)
+        upper = math.log(0.5 + math.sqrt(spec.h2.max() / (4.0 * spec.h1.min()) + 0.25)) / spec.A
+        c2 = spec.h2.max() * g.volume + spec.h1.max() * max(0.25, math.exp(2.0 * spec.A * upper)) * g.volume
+        lower = -math.log(0.5 + math.sqrt(c2 / (spec.h2.min() * g.mu.min()) + 0.25)) / spec.B
+        assert (box.lower, box.upper) == (lower, upper)

@@ -278,3 +278,18 @@ def test_alignment_errors():
         laplacian(g, [1.0, 2.0, 3.0])
     with pytest.raises(AlignmentError):
         integrate(g, [np.nan, 0.0])
+
+
+def test_neighbors_match_the_edge_list_oracle():
+    rng = np.random.default_rng(47)
+    graphs = [WeightedGraph(["o"], [1.0])] + [
+        helpers.random_graph(rng, n, extra_edge_prob=p) for n in (2, 3, 7, 30, 100) for p in (0.0, 0.35)
+    ]
+    for g in graphs:
+        want = [tuple(nbrs) for nbrs in helpers.adjacency_oracle(g)]
+        assert [g.neighbors(i) for i in range(g.n)] == want
+        # a negative index counts from the end, as in a sequence
+        assert [g.neighbors(i) for i in range(-g.n, 0)] == want
+        for i in (g.n, -g.n - 1):
+            with pytest.raises(IndexError):
+                g.neighbors(i)

@@ -186,3 +186,14 @@ def test_halton_ball_deterministic_and_bounded():
 def test_halton_ball_first_point_is_center_in_dim_one():
     pts = halton_ball(1, 3, 1.0, seed=0)
     assert pts[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 3, -1, 2**62, 10**20])
+def test_halton_ball_matches_the_point_loop_oracle_bitwise(seed):
+    # every dimension at one count, every count at one dimension, and both large;
+    # a negative seed puts indices below 1, and the large ones put the window past int64
+    cases = [(dim, 3) for dim in range(1, 201)] + [(2, count) for count in range(0, 201)] + [(200, 64)]
+    for dim, count in cases:
+        got = halton_ball(dim, count, 2.5, seed)
+        want = helpers.halton_ball_oracle(dim, count, 2.5, seed)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dim, count)
