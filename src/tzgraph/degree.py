@@ -33,7 +33,7 @@ from .errors import (
     ExponentOverflowError,
     SpecValidationError,
 )
-from .estimates import bounds_classic, bounds_generalized
+from .estimates import AprioriBox, _apriori_box
 from .graphs import WeightedGraph
 from .model import (
     HomotopyParams,
@@ -221,12 +221,6 @@ def _check_search(radius: float | None, n_starts: int) -> None:
         raise SpecValidationError(f"the search radius must be finite and positive, got {radius}")
 
 
-def _default_radius(spec: ProblemSpec, g: WeightedGraph) -> float:
-    if spec.kind is Kind.CLASSIC:
-        return bounds_classic(spec).radius
-    return bounds_generalized(spec, g).radius
-
-
 def estimate_degree(
     spec: ProblemSpec,
     g: WeightedGraph,
@@ -277,7 +271,7 @@ def estimate_degree(
     default_ball = radius is None
     if default_ball:
         try:
-            radius = _default_radius(spec, g)
+            radius = _apriori_box(spec, g).radius
         except BoundsInapplicableError as exc:
             raise BoundsInapplicableError(
                 f"no a priori ball available ({exc}); supply a radius explicitly"
@@ -312,27 +306,36 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     """Exhaustive scalar enumeration for one-vertex problems.
 
     With no edges the Laplacian vanishes and the equation reduces to a
-    scalar root-finding problem, solved by sign-change bisection over the
-    a priori interval padded by one on each side.  Every root's derivative
+    scalar root-finding problem, solved by ``_scalar_roots`` over the a
+    priori interval padded by one on each side.  Every root's derivative
     sign is evaluated in closed form, so the result is proven rather than
     heuristic (up to roots of even multiplicity, which surface as
     degeneracy errors).
     """
     if spec.n != 1:
         raise SpecValidationError("scalar enumeration needs a single-vertex problem")
-    k1 = WeightedGraph(("o",), (1.0,), ())
     if spec.kind is Kind.CLASSIC and float(spec.h2[0]) >= 0.0:
         return DegreeReport((), (), 0, math.inf, 0, Confidence.PROVEN)
-    box = bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, k1)
-    lo, hi = box.lower - 1.0, box.upper + 1.0
+    box = _apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
+    roots, signs = _scalar_roots(spec, None, box.lower - 1.0, box.upper + 1.0)
+    solutions = tuple(np.array([r]) for r in roots)
+    return DegreeReport(solutions, tuple(signs), int(sum(signs)), box.radius, 0, Confidence.PROVEN)
 
-    pointwise, slope, _ = _pointwise(spec)
+
+def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None, lo: float, hi: float) -> tuple[list, list[int]]:
+    """Every zero in ``[lo, hi]`` of a one-vertex spec's deformation ``hp``, ascending, and its sign.
+
+    On one vertex the residual is the pointwise term, so sign-change
+    bisection between the points of a grid finds every simple zero, and the
+    sign of the term's slope is the zero's degree contribution.
+    """
+    pointwise, slope, _ = _pointwise(spec, hp)
 
     def term(c: np.ndarray) -> np.ndarray:
         return pointwise(spec.A * c, -spec.B * c)
 
-    # 0 solves the generalized kind, whose box holds it: on the grid it is found exactly,
-    # not as a bisection's end; the classic term is monotone, so 0 off its box adds no root
+    # 0 solves the undeformed generalized kind: on the grid it is found exactly, not as a bisection's
+    # end; the generalized boxes hold 0, and the classic term is monotone, so 0 off its box adds no root
     grid = np.union1d(np.linspace(lo, hi, _SCAN_POINTS), 0.0)
     # beyond the exponent range the term is an infinity of the right sign; the
     # signs are multiplied, not the values, whose product can overflow
@@ -356,15 +359,7 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
                 f"scalar root {r:.12g} has derivative below {_DERIVATIVE_FLOOR:g}"
             )
         signs.append(1 if derivative > 0.0 else -1)
-    solutions = tuple(np.array([r]) for r in deduped)
-    return DegreeReport(
-        solutions,
-        tuple(signs),
-        int(sum(signs)),
-        box.radius,
-        0,
-        Confidence.PROVEN,
-    )
+    return deduped, signs
 
 
 def _homotopy_degrees(
@@ -372,9 +367,10 @@ def _homotopy_degrees(
 ) -> list[int]:
     """Enumerated degree of the deformed map at each t of a non-empty grid in [0, 1], in order.
 
-    Every entry is the signed count of the multi-start enumeration, which
-    these degrees audit: classic members in their own a priori ball,
-    generalized ones in the t-uniform ball.  They are not
+    Every entry is the signed count of the zeros in an a priori box: classic
+    members in their own, generalized ones in the t-uniform one.  On one
+    vertex they are ``degree_single_vertex``'s scan, elsewhere the multi-start
+    enumeration, which these degrees audit.  They are not
     ``estimate_degree``'s degrees, which come from a proof on both kinds.
     """
     _check_search(None, n_starts)
@@ -382,14 +378,18 @@ def _homotopy_degrees(
     if not grid:
         raise SpecValidationError("the homotopy t grid is empty")
 
-    def signed_count(member: ProblemSpec, hp: HomotopyParams | None, ball: float) -> int:
-        return int(sum(_enumerate_signed_roots(member, g, hp, ball, cfg, n_starts)[1]))
+    def signed_count(member: ProblemSpec, hp: HomotopyParams | None, box: AprioriBox) -> int:
+        if g.n == 1:
+            return int(sum(_scalar_roots(member, hp, box.lower - 1.0, box.upper + 1.0)[1]))
+        return int(sum(_enumerate_signed_roots(member, g, hp, box.radius, cfg, n_starts)[1]))
 
+    # the equation on one vertex holds no measure: its box is degree_single_vertex's
+    box_graph = g if g.n > 1 else WeightedGraph(("o",), (1.0,), ())
     if spec.kind is Kind.CLASSIC:
         members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, hp.t), spec.A, spec.B) for hp in grid)
-        return [signed_count(m, None, bounds_classic(m).radius) for m in members]
-    ball = bounds_generalized(spec, g).radius
-    return [0 if hp.t == 0.0 else signed_count(spec, hp, ball) for hp in grid]
+        return [signed_count(m, None, _apriori_box(m, box_graph)) for m in members]
+    box = _apriori_box(spec, box_graph)
+    return [0 if hp.t == 0.0 else signed_count(spec, hp, box) for hp in grid]
 
 
 def verify_homotopy_invariance(

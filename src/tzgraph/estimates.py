@@ -51,7 +51,14 @@ class AprioriBox:
 def _make_box(lower: float, upper: float) -> AprioriBox:
     extent = max(abs(lower), abs(upper))
     radius = extent * RADIUS_FACTOR + RADIUS_PAD
+    if not math.isfinite(radius):
+        raise BoundsInapplicableError(f"the a priori box [{lower:.6g}, {upper:.6g}] leaves the float range")
     return AprioriBox(lower, upper, radius, radius - extent)
+
+
+def _apriori_box(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
+    """The box of the spec's kind: ``bounds_classic`` or ``bounds_generalized``."""
+    return bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, g)
 
 
 def bounds_classic(spec: ProblemSpec) -> AprioriBox:

@@ -609,7 +609,6 @@ def minimize_box(
     g: WeightedGraph,
     bp: BarrierPair,
     cfg: SolverConfig,
-    _trace: list | None = None,
 ) -> SolveReport:
     """Projected gradient descent of the energy over the barrier box.
 
@@ -636,8 +635,6 @@ def minimize_box(
     j_val = energy(spec, g, u)
     grad = residual(spec, g, u)
     energies = [j_val]
-    if _trace is not None:
-        _trace.append(u.copy())
 
     alpha = 1.0
     steps = 0
@@ -681,8 +678,6 @@ def minimize_box(
         alpha = min(max(ss / sy, 1e-10), 1e10) if sy > 0.0 else min(a * 2.0, 1e6)
         u, j_val, grad = trial, j_trial, new_grad
         energies.append(j_val)
-        if _trace is not None:
-            _trace.append(u.copy())
         steps += 1
 
     grad_norm = float(np.maximum.reduce(np.abs(grad)))
@@ -696,8 +691,6 @@ def minimize_box(
             j_val = energy_of(u)
             energies.append(j_val)
             polish_iterations = polish.iterations
-            if _trace is not None:
-                _trace.append(u.copy())
             status = "converged" if grad_norm < cfg.tol else status
 
     converged = status == "converged" and grad_norm < cfg.tol

@@ -37,6 +37,7 @@ from tzgraph import (
 )
 from tzgraph import degree as degree_module
 from tzgraph.cli import main
+from tzgraph.estimates import _apriori_box
 
 CFG = SolverConfig()
 
@@ -284,7 +285,7 @@ def test_criterion_8_oracle_equivalence():
         g1 = helpers.build_graph(
             {"ids": ["o"], "mu": [float(rng.uniform(0.5, 2.0))], "edges": []}
         )
-        radius = degree_module._default_radius(spec, g1)
+        radius = _apriori_box(spec, g1).radius
         signs = degree_module._enumerate_signed_roots(spec, g1, None, radius, CFG, 6)[1]
         assert sum(signs) == degree_single_vertex(spec).degree
         agreements += 1

@@ -2,6 +2,8 @@
 
 import argparse
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import pytest
 
 import helpers
 import tzgraph
-from tzgraph import SolverConfig, cli, degree, estimate_degree
+from tzgraph import SolverConfig, cli, degree, estimate_degree, solvers
 from tzgraph.cli import (
     UsageError,
     build_parser,
@@ -626,6 +628,94 @@ def test_extreme_generalized_ratios_get_the_box_in_logs(tmp_path, capsys, h1, h2
         code, _, err = run(capsys, [command, *argv])
         assert code in (0, 2, 3) and err.count("\n") == (code != 0)
         assert code == 0 or err.startswith("error: ")
+
+
+@pytest.mark.parametrize("h1,h2", [("1e-300", "1e300"), ("1e300", "1e-300")])
+def test_check_on_one_vertex_audits_the_extreme_ratios_with_the_scan(tmp_path, capsys, h1, h2):
+    # the zeros at 0 and 460.517 (-460.517 on the mirror) are the scan's; the multi-start enumerator
+    # finds only 0
+    path = write(tmp_path, f"vertex o 1 {h1} {h2}\n")
+    code, out, err = run(
+        capsys, ["check", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp"]
+    )
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert (code, err) == (0, "")
+    assert checks["degree_value"]["passed"] and checks["homotopy_invariance"]["passed"]
+
+
+# each file, its flags, and the exit codes of solve and multiplicity: the classic root lies past
+# the largest float, multiplicity takes only the generalized kind, and on the last file its
+# barrier search does not end
+BOX_PAST_THE_FLOAT_RANGE = [
+    ("vertex o 1 1 1\n", ["--equation", "generalized", "--A", "1e-310", "--B", "1"], (0, 0)),
+    ("vertex o 1 1 -2\n", ["--equation", "classic", "--A", "1e-310", "--B", "1e-310"], (3, 2)),
+    ("vertex o 1 1e-300 1e300\n", ["--equation", "generalized", "--A", "1e-307", "--B", "1"], (0, 2)),
+]
+
+
+# the first file's energy overflows in h1 / A, which the strict xfail below pins
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("lines,flags,codes", BOX_PAST_THE_FLOAT_RANGE)
+def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, lines, flags, codes):
+    path = write(tmp_path, lines)
+    code, _, err = run(capsys, ["bounds", path, *flags, "--no-timestamp"])
+    assert code == 2 and err.startswith("error: validation: the a priori box ") and err.count("\n") == 1
+    assert "leaves the float range" in err
+    code, _, err = run(capsys, ["degree", path, *flags, "--no-timestamp"])
+    assert code == 2 and err.count("\n") == 1 and err.endswith("supply a radius explicitly\n")
+    # the others run without a box; the audit keeps the checks that need none
+    code, out, err = run(capsys, ["check", path, *flags, "--no-timestamp"])
+    assert (code, err, json.loads(out)["box"]) == (0, "", None)
+    for command, want in zip(("solve", "multiplicity"), codes):
+        code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
+        assert code == want and err.count("\n") == (code != 0)
+        assert json.loads(out)["box"] is None if code == 0 else err.startswith("error: ")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="model._energy_kernel divides h1 by a tiny A and overflows to inf, with a RuntimeWarning",
+)
+@pytest.mark.parametrize(
+    "lines,A", [("vertex o 1 1e10 1e20\n", "1e-300"), ("vertex o 1 1 1\n", "1e-310")]
+)
+def test_multiplicity_with_a_tiny_exponent_prints_no_warning(tmp_path, lines, A):
+    path = write(tmp_path, lines)
+    argv = ["multiplicity", path, "--equation", "generalized", "--A", A, "--B", "1", "--no-timestamp"]
+    result = _run_module(*argv)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_every_report_box_is_the_applicable_box(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    reported = set()
+    for family in gen.FAMILIES:
+        for n in (1, 2, 3):
+            inst = gen.make_instance(family, n, seed=7)
+            path = gen.write_instance(inst, tmp_path)
+            g, h1, h2 = parse_graph(path).to_graph()
+            box = cli._applicable_box(tzgraph.ProblemSpec(inst.equation, h1, h2, inst.A, inst.B), g)
+            flags = ["--equation", inst.equation, "--A", repr(inst.A), "--B", repr(inst.B), "--no-timestamp"]
+            for command in COMMANDS:
+                code, out, _ = run(capsys, [command, str(path), *flags, "--starts", "8"])
+                if command == "bounds":
+                    assert (code == 2) == (box is None)
+                if out:
+                    assert json.loads(out)["box"] == cli._box_payload(box)
+                    reported.add(command)
+    assert reported == set(COMMANDS)
+
+
+def test_cli_and_degree_get_every_box_from_one_dispatch():
+    for module in (cli, degree):
+        source = inspect.getsource(module)
+        assert not hasattr(module, "bounds_classic") and not hasattr(module, "bounds_generalized")
+        assert "bounds_classic(" not in source and "bounds_generalized(" not in source
+        assert "_apriori_box(" in source
+    # the two-solution search keeps its own calls of the generalized box, its only kind
+    source = inspect.getsource(solvers)
+    assert "bounds_generalized(spec, g)" in source and "bounds_classic" not in source
 
 
 CLASSIC_FAR_ROOT = {

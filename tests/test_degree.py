@@ -26,6 +26,7 @@ from tzgraph import (
 )
 from tzgraph import degree
 from tzgraph.degree import _canonical_order
+from tzgraph.estimates import _apriori_box
 from tzgraph.model import _kernels
 from tzgraph.errors import SpecValidationError
 
@@ -38,7 +39,7 @@ def constant_spec(kind, n, h1, h2, A=1.0, B=1.0):
 
 def _enumerated(spec, g, n_starts):
     """The enumerator's canonical roots, signs and run count in the default ball."""
-    radius = degree._default_radius(spec, g)
+    radius = _apriori_box(spec, g).radius
     roots, signs, runs = degree._enumerate_signed_roots(spec, g, None, radius, CFG, n_starts)
     return (*_canonical_order(roots, signs), runs)
 
@@ -194,7 +195,7 @@ def test_estimate_degree_matches_the_enumerator_on_public_functions():
             lambda u: residual(spec, g, u),
             lambda u: jacobian(spec, g, u),
             g.n,
-            degree._default_radius(spec, g),
+            _apriori_box(spec, g).radius,
             CFG,
             16,
         )
@@ -229,7 +230,7 @@ def test_estimate_degree_matches_the_enumerator_on_the_deflated_jacobian():
             fun,
             jac,
             g.n,
-            degree._default_radius(spec, g),
+            _apriori_box(spec, g).radius,
             CFG,
             16,
             deflate=helpers.deflated_system_oracle,
@@ -265,7 +266,7 @@ def test_merged_roots_warn_once_at_the_caller(monkeypatch):
 
 def _enumeration(enumerate_roots, spec, g, n_starts):
     """Root bytes, signs and runs, or the ``DegenerateRootError`` message; and every warning."""
-    radius = degree._default_radius(spec, g)
+    radius = _apriori_box(spec, g).radius
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -310,7 +311,7 @@ def test_one_queue_screens_with_fewer_lockstep_iterations(monkeypatch):
     rng = np.random.default_rng(359)
     g = helpers.random_graph(rng, 4)
     spec = helpers.classic_spec(rng, 4)
-    radius = degree._default_radius(spec, g)
+    radius = _apriori_box(spec, g).radius
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -514,6 +515,36 @@ def test_homotopy_invariance_single_vertex_matches_proven():
     assert estimate_degree(spec, g1, CFG, n_starts=16).degree == degree_single_vertex(spec).degree
 
 
+def test_one_vertex_homotopy_degrees_scan_the_members_without_newton(monkeypatch):
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a one-vertex audit ran Newton")
+
+    scans, scalar_roots = [], degree._scalar_roots
+
+    def recorded(*args):
+        scans.append(scalar_roots(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(degree, "_enumerate_signed_roots", no_newton)
+    monkeypatch.setattr(degree, "_newton_system", no_newton)
+    monkeypatch.setattr(degree, "_scalar_roots", recorded)
+    rng = np.random.default_rng(367)
+    makers = (helpers.classic_spec, helpers.generalized_spec, helpers.branch1_spec)
+    for trial in range(300):
+        # the last bits of the generalized box, and so of the roots, can depend on the measure
+        g1 = helpers.build_graph({"ids": ["o"], "mu": [float(rng.uniform(0.1, 10.0))], "edges": []})
+        classic = trial % 3 == 0
+        spec = makers[trial % 3](rng, 1)
+        # the undeformed member first: t = 0 on the classic kind, t = 1 on the generalized one,
+        # whose t = 0 member has no zero and is not scanned
+        scans.clear()
+        degrees = degree._homotopy_degrees(spec, g1, CFG, (0.0, 0.5, 1.0) if classic else (1.0, 0.5, 0.0), 8)
+        assert len(scans) == (3 if classic else 2)
+        (roots, signs), report = scans[0], degree_single_vertex(spec)
+        assert degrees == [report.degree] * 3 and sum(signs) == report.degree
+        assert [np.array([r]).tobytes() for r in roots] == [u.tobytes() for u in report.solutions]
+
+
 def test_each_root_queues_its_probes_along_the_offset_oracle_bitwise(monkeypatch):
     # the first start passes and every later one fails, so the second block the enumerator
     # screens holds the other starts, then the root's probes in the order they were queued
@@ -530,7 +561,7 @@ def test_each_root_queues_its_probes_along_the_offset_oracle_bitwise(monkeypatch
     for dim in [*range(1, 65), 100, 200]:
         g = helpers.random_graph(rng, dim, extra_edge_prob=0.0)
         spec = helpers.classic_spec(rng, dim)
-        radius = degree._default_radius(spec, g)
+        radius = _apriori_box(spec, g).radius
         blocks.clear()
         (root,), _, _ = degree._enumerate_signed_roots(spec, g, None, radius, CFG, n_starts)
         offsets = helpers.probe_offsets_oracle(dim)

@@ -188,3 +188,26 @@ def test_generalized_box_keeps_the_float_chain_bits_in_the_normal_range():
         c2 = spec.h2.max() * g.volume + spec.h1.max() * max(0.25, math.exp(2.0 * spec.A * upper)) * g.volume
         lower = -math.log(0.5 + math.sqrt(c2 / (spec.h2.min() * g.mu.min()) + 0.25)) / spec.B
         assert (box.lower, box.upper) == (lower, upper)
+
+
+@pytest.mark.parametrize(
+    "kind,h1,h2,A,B",
+    [
+        (Kind.GENERALIZED, 1.0, 1.0, 1e-310, 1.0),
+        (Kind.CLASSIC, 1.0, -2.0, 1e-310, 1e-310),
+        (Kind.GENERALIZED, 1e-300, 1e300, 1e-307, 1.0),
+    ],
+)
+def test_a_box_past_the_float_range_is_inapplicable(kind, h1, h2, A, B):
+    spec = constant_spec(kind, 1, h1, h2, A, B)
+    with pytest.raises(BoundsInapplicableError, match="leaves the float range"):
+        estimates._apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
+
+
+def test_the_apriori_box_is_the_box_of_the_kind():
+    rng = np.random.default_rng(127)
+    for n in (1, 2, 5):
+        g = helpers.random_graph(rng, n)
+        classic, generalized = helpers.classic_spec(rng, n), helpers.generalized_spec(rng, n)
+        assert estimates._apriori_box(classic, g) == bounds_classic(classic)
+        assert estimates._apriori_box(generalized, g) == bounds_generalized(generalized, g)

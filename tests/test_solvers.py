@@ -31,6 +31,7 @@ from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
 from tzgraph.errors import ExponentOverflowError, SpecValidationError
 import tzgraph.degree
+import tzgraph.model
 import tzgraph.solvers
 from tzgraph.solvers import (
     _bisect,
@@ -719,20 +720,44 @@ def test_minimize_box_constant_instance_matches_scalar_oracle():
     assert np.max(np.abs(report.solution - root)) < 1e-8
 
 
+def _minimize_recorded(spec, g, barriers):
+    """``minimize_box``'s report, and each field whose energy it evaluated, in order, with that
+    energy (None where the exponent guard raised): ``_energy_kernel`` is wrapped both where the
+    minimizer binds it and where the public ``energy`` it calls at entry does."""
+    original, evaluated = tzgraph.model._energy_kernel, []
+
+    def recording(spec, g):
+        energy_of = original(spec, g)
+
+        def recorded(u):
+            evaluated.append((u.copy(), None))
+            value = energy_of(u)
+            evaluated[-1] = (evaluated[-1][0], value)
+            return value
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (tzgraph.model, tzgraph.solvers):
+            patch.setattr(module, "_energy_kernel", recording)
+        report = minimize_box(spec, g, barriers, CFG)
+    return report, evaluated
+
+
 def test_minimize_box_monotone_energy_and_box_invariance():
     rng = np.random.default_rng(263)
     g = helpers.random_graph(rng, 4)
     spec = helpers.branch1_spec(rng, 4)
     barriers = choose_barriers(spec, g)
-    trace = []
-    report = minimize_box(spec, g, barriers, CFG, _trace=trace)
+    report, evaluated = _minimize_recorded(spec, g, barriers)
     assert report.converged
     energies = report.energy_history
     tolerance = 5e-13 * (1.0 + abs(energies[0]))
     assert all(b <= a + tolerance for a, b in zip(energies, energies[1:]))
     lo, hi = barriers.box()
-    for iterate in trace:
-        assert np.all(iterate >= lo) and np.all(iterate <= hi)
+    assert len(evaluated) >= len(energies)
+    for field, _ in evaluated:
+        assert np.all(field >= lo) and np.all(field <= hi)
 
 
 def test_minimize_box_result_is_minimal_among_random_fields():
@@ -778,11 +803,14 @@ def test_minimize_box_energies_are_the_public_energy_bitwise():
     for n in (1, 3, 6, 9):
         g = helpers.random_graph(rng, n)
         spec = helpers.branch1_spec(rng, n)
-        trace = []
-        report = minimize_box(spec, g, choose_barriers(spec, g), CFG, _trace=trace)
-        assert len(trace) == len(report.energy_history) > (n > 1)
-        assert [energy(spec, g, u) for u in trace] == list(report.energy_history)
-        assert np.array_equal(residual(spec, g, report.solution), residual(spec, g, trace[-1]))
+        report, evaluated = _minimize_recorded(spec, g, choose_barriers(spec, g))
+        assert len(report.energy_history) > (n > 1)
+        assert all(value is None or value == energy(spec, g, u) for u, value in evaluated)
+        # the history is the energies of the accepted fields, in the order they were evaluated
+        remaining = iter(evaluated)
+        accepted = [next((u for u, value in remaining if value == j), None) for j in report.energy_history]
+        assert all(u is not None for u in accepted)
+        assert np.array_equal(residual(spec, g, report.solution), residual(spec, g, accepted[-1]))
 
 
 def test_mean_constant_root_matches_the_average_bisection():

@@ -14,6 +14,8 @@ the same digest exactly when their CLI answers agree byte for byte::
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are
 imported; it defaults to the one holding this script.  Neither is changed.
+``--per-command`` first prints one SHA-256 per command, with its argv, so
+a ``diff`` of two checkouts' outputs names the commands whose answers moved.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11], help="benchmark seeds")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and perfbench/ to import")
+    parser.add_argument("--per-command", action="store_true",
+                        help="print each command's own digest and argv before the total")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -92,7 +96,10 @@ def main() -> int:
             if not path.exists():
                 path.write_text(cmd.instance.text, encoding="utf-8")
             argv = cmd.argv(path)
-            digest.update(json.dumps([argv, *run(argv)]).encode())
+            record = json.dumps([argv, *run(argv)]).encode()
+            digest.update(record)
+            if args.per_command:
+                print(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}")
         os.chdir(root)
     print(f"{digest.hexdigest()}  {len(listed)} commands, seeds {' '.join(map(str, args.seeds))}")
     return 0
