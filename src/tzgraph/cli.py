@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     SolveFailedError,
 )
-from .estimates import AprioriBox, _apriori_box, elliptic_constant
+from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, elliptic_constant
 from .graphs import (
     WeightedGraph,
     _index_edges,
@@ -412,19 +412,14 @@ def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[dict]:
             f"smallest residual integral {worst_integral:.3e}",
         )
 
-    if box is None:
+    if not _hypothesis_holds(spec):
         return checks
     if spec.kind is Kind.CLASSIC:
         final = continuation(spec, g, default_t_grid(), cfg)[-1]
         direct = newton(spec, g, np.zeros(n), cfg)
         gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
-        record(
-            "continuation_matches_newton",
-            direct.converged and gap <= 1e-8,
-            f"sup gap {gap:.3e}",
-        )
-        degrees = _homotopy_degrees(spec, g, cfg, (0.0, 0.5, 1.0), min(args.starts, 32))
-        proven = 1
+        record("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}")
+        t_values, n_starts, proven = (0.0, 0.5, 1.0), min(args.starts, 32), 1
     else:
         worst = 0.0
         for _ in range(20):
@@ -435,8 +430,11 @@ def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[dict]:
             worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
         record("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}")
         # t = 1, the undeformed map that degree_value reports, is enumerated first
-        degrees = _homotopy_degrees(spec, g, cfg, (1.0, 0.5, 0.0), min(args.starts, 48))
-        proven = 0
+        t_values, n_starts, proven = (1.0, 0.5, 0.0), min(args.starts, 48), 0
+    if box is None:
+        record("degree_value", False, "no ball to count zeros in: the a priori box leaves the float range")
+        return checks
+    degrees = _homotopy_degrees(spec, g, cfg, t_values, n_starts)
     record("degree_value", degrees[0] == proven, f"estimated degree {degrees[0]}")
     record("homotopy_invariance", len(set(degrees)) == 1, "degrees agree across t in {0, 0.5, 1}")
     return checks

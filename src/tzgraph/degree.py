@@ -306,29 +306,28 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     """Exhaustive scalar enumeration for one-vertex problems.
 
     With no edges the Laplacian vanishes and the equation reduces to a
-    scalar root-finding problem, solved by ``_scalar_roots`` over the a
-    priori interval padded by one on each side.  Every root's derivative
-    sign is evaluated in closed form, so the result is proven rather than
-    heuristic (up to roots of even multiplicity, which surface as
-    degeneracy errors).
+    scalar root-finding problem, solved by ``_scalar_roots``.  Every root's
+    derivative sign is evaluated in closed form, so the result is proven
+    rather than heuristic (up to roots of even multiplicity, which surface
+    as degeneracy errors).
     """
     if spec.n != 1:
         raise SpecValidationError("scalar enumeration needs a single-vertex problem")
     if spec.kind is Kind.CLASSIC and float(spec.h2[0]) >= 0.0:
         return DegreeReport((), (), 0, math.inf, 0, Confidence.PROVEN)
-    box = _apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
-    roots, signs = _scalar_roots(spec, None, box.lower - 1.0, box.upper + 1.0)
+    roots, signs, box = _scalar_roots(spec, None)
     solutions = tuple(np.array([r]) for r in roots)
     return DegreeReport(solutions, tuple(signs), int(sum(signs)), box.radius, 0, Confidence.PROVEN)
 
 
-def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None, lo: float, hi: float) -> tuple[list, list[int]]:
-    """Every zero in ``[lo, hi]`` of a one-vertex spec's deformation ``hp``, ascending, and its sign.
+def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None) -> tuple[list, list[int], AprioriBox]:
+    """The zeros of a one-vertex spec's deformation ``hp`` in its padded box, ascending, their signs, the box.
 
-    On one vertex the residual is the pointwise term, so sign-change
-    bisection between the points of a grid finds every simple zero, and the
-    sign of the term's slope is the zero's degree contribution.
+    The equation on one vertex holds no measure: the box is a unit-measure vertex's, padded by one.  The
+    residual is the pointwise term, so sign-change bisection between the points of a grid finds every
+    simple zero, and the sign of the term's slope is the zero's degree contribution.
     """
+    box = _apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
     pointwise, slope, _ = _pointwise(spec, hp)
 
     def term(c: np.ndarray) -> np.ndarray:
@@ -336,7 +335,7 @@ def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None, lo: float, hi: f
 
     # 0 solves the undeformed generalized kind: on the grid it is found exactly, not as a bisection's
     # end; the generalized boxes hold 0, and the classic term is monotone, so 0 off its box adds no root
-    grid = np.union1d(np.linspace(lo, hi, _SCAN_POINTS), 0.0)
+    grid = np.union1d(np.linspace(box.lower - 1.0, box.upper + 1.0, _SCAN_POINTS), 0.0)
     # beyond the exponent range the term is an infinity of the right sign; the
     # signs are multiplied, not the values, whose product can overflow
     with np.errstate(over="ignore"):
@@ -359,7 +358,7 @@ def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None, lo: float, hi: f
                 f"scalar root {r:.12g} has derivative below {_DERIVATIVE_FLOOR:g}"
             )
         signs.append(1 if derivative > 0.0 else -1)
-    return deduped, signs
+    return deduped, signs, box
 
 
 def _homotopy_degrees(
@@ -378,18 +377,16 @@ def _homotopy_degrees(
     if not grid:
         raise SpecValidationError("the homotopy t grid is empty")
 
-    def signed_count(member: ProblemSpec, hp: HomotopyParams | None, box: AprioriBox) -> int:
-        if g.n == 1:
-            return int(sum(_scalar_roots(member, hp, box.lower - 1.0, box.upper + 1.0)[1]))
-        return int(sum(_enumerate_signed_roots(member, g, hp, box.radius, cfg, n_starts)[1]))
+    def signed_count(member: ProblemSpec, hp: HomotopyParams | None) -> int:
+        if g.n == 1:  # the scan takes the member's box itself
+            return int(sum(_scalar_roots(member, hp)[1]))
+        radius = _apriori_box(member, g).radius
+        return int(sum(_enumerate_signed_roots(member, g, hp, radius, cfg, n_starts)[1]))
 
-    # the equation on one vertex holds no measure: its box is degree_single_vertex's
-    box_graph = g if g.n > 1 else WeightedGraph(("o",), (1.0,), ())
     if spec.kind is Kind.CLASSIC:
         members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, hp.t), spec.A, spec.B) for hp in grid)
-        return [signed_count(m, None, _apriori_box(m, box_graph)) for m in members]
-    box = _apriori_box(spec, box_graph)
-    return [0 if hp.t == 0.0 else signed_count(spec, hp, box) for hp in grid]
+        return [signed_count(m, None) for m in members]
+    return [0 if hp.t == 0.0 else signed_count(spec, hp) for hp in grid]
 
 
 def verify_homotopy_invariance(

@@ -61,6 +61,11 @@ def _apriori_box(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
     return bounds_classic(spec) if spec.kind is Kind.CLASSIC else bounds_generalized(spec, g)
 
 
+def _hypothesis_holds(spec: ProblemSpec) -> bool:
+    """The sign of h2 that the box of the spec's kind needs: h2 < 0 (classic) or h2 > 0 at every vertex."""
+    return bool(np.all(spec.h2 < 0.0 if spec.kind is Kind.CLASSIC else spec.h2 > 0.0))
+
+
 def bounds_classic(spec: ProblemSpec) -> AprioriBox:
     """Sup-norm box for the classic equation with negative h2.
 
@@ -72,7 +77,7 @@ def bounds_classic(spec: ProblemSpec) -> AprioriBox:
     """
     if spec.kind is not Kind.CLASSIC:
         raise BoundsInapplicableError("classic bounds apply to the classic kind only")
-    if np.any(spec.h2 >= 0.0):
+    if not _hypothesis_holds(spec):
         raise BoundsInapplicableError(
             "classic bounds require h2 < 0 at every vertex "
             f"(max h2 = {float(spec.h2.max()):.6g})"
@@ -107,7 +112,7 @@ def bounds_generalized(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
     """
     if spec.kind is not Kind.GENERALIZED:
         raise BoundsInapplicableError("generalized bounds apply to the generalized kind only")
-    if np.any(spec.h2 <= 0.0):
+    if not _hypothesis_holds(spec):
         raise BoundsInapplicableError(
             "generalized bounds require h2 > 0 at every vertex "
             f"(min h2 = {float(spec.h2.min()):.6g})"

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -643,33 +644,38 @@ def test_check_on_one_vertex_audits_the_extreme_ratios_with_the_scan(tmp_path, c
     assert checks["degree_value"]["passed"] and checks["homotopy_invariance"]["passed"]
 
 
-# each file, its flags, and the exit codes of solve and multiplicity: the classic root lies past
-# the largest float, multiplicity takes only the generalized kind, and on the last file its
-# barrier search does not end
+# each file, its flags, the exit codes of solve, multiplicity and check, and the commands whose
+# energy overflows in h1 / A: the classic root lies past the largest float, so solve and the
+# audit's continuation fail; multiplicity takes only the generalized kind, and on the last file
+# its barrier search does not end; the audit has no ball to count zeros in
 BOX_PAST_THE_FLOAT_RANGE = [
-    ("vertex o 1 1 1\n", ["--equation", "generalized", "--A", "1e-310", "--B", "1"], (0, 0)),
-    ("vertex o 1 1 -2\n", ["--equation", "classic", "--A", "1e-310", "--B", "1e-310"], (3, 2)),
-    ("vertex o 1 1e-300 1e300\n", ["--equation", "generalized", "--A", "1e-307", "--B", "1"], (0, 2)),
+    ("vertex o 1 1 1\n", ["--equation", "generalized", "--A", "1e-310", "--B", "1"], (0, 0, 3), {"multiplicity", "check"}),
+    ("vertex o 1 1 -2\n", ["--equation", "classic", "--A", "1e-310", "--B", "1e-310"], (3, 2, 3), set()),
+    ("vertex o 1 1e-300 1e300\n", ["--equation", "generalized", "--A", "1e-307", "--B", "1"], (0, 2, 3), set()),
 ]
 
 
-# the first file's energy overflows in h1 / A, which the strict xfail below pins
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-@pytest.mark.parametrize("lines,flags,codes", BOX_PAST_THE_FLOAT_RANGE)
-def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, lines, flags, codes):
+@pytest.mark.parametrize("lines,flags,codes,overflows", BOX_PAST_THE_FLOAT_RANGE)
+def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, lines, flags, codes, overflows):
     path = write(tmp_path, lines)
     code, _, err = run(capsys, ["bounds", path, *flags, "--no-timestamp"])
     assert code == 2 and err.startswith("error: validation: the a priori box ") and err.count("\n") == 1
     assert "leaves the float range" in err
     code, _, err = run(capsys, ["degree", path, *flags, "--no-timestamp"])
     assert code == 2 and err.count("\n") == 1 and err.endswith("supply a radius explicitly\n")
-    # the others run without a box; the audit keeps the checks that need none
-    code, out, err = run(capsys, ["check", path, *flags, "--no-timestamp"])
-    assert (code, err, json.loads(out)["box"]) == (0, "", None)
-    for command, want in zip(("solve", "multiplicity"), codes):
-        code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
+    # the others run without a box; the audit runs the checks of its kind and fails the degree's
+    for command, want in zip(("solve", "multiplicity", "check"), codes):
+        with warnings.catch_warnings():
+            if command in overflows:  # the leak that the strict xfail below pins
+                warnings.filterwarnings("ignore", "overflow encountered in divide", RuntimeWarning)
+            code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
         assert code == want and err.count("\n") == (code != 0)
-        assert json.loads(out)["box"] is None if code == 0 else err.startswith("error: ")
+        assert err.startswith("error: ") if code else json.loads(out)["box"] is None
+        if command == "check" and out:
+            report = json.loads(out)
+            checks = {c["name"]: c for c in report["result"]["checks"]}
+            assert report["box"] is None and "energy_gradient_fd" in checks
+            assert not checks["degree_value"]["passed"] and "float range" in checks["degree_value"]["detail"]
 
 
 @pytest.mark.xfail(
@@ -677,13 +683,20 @@ def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, line
     reason="model._energy_kernel divides h1 by a tiny A and overflows to inf, with a RuntimeWarning",
 )
 @pytest.mark.parametrize(
-    "lines,A", [("vertex o 1 1e10 1e20\n", "1e-300"), ("vertex o 1 1 1\n", "1e-310")]
+    "command,lines,A,code",
+    [
+        ("multiplicity", "vertex o 1 1e10 1e20\n", "1e-300", 0),
+        ("multiplicity", "vertex o 1 1 1\n", "1e-310", 0),
+        ("check", "vertex o 1 1 1\n", "1e-310", 3),
+    ],
 )
-def test_multiplicity_with_a_tiny_exponent_prints_no_warning(tmp_path, lines, A):
+def test_the_energy_with_a_tiny_exponent_prints_no_warning(tmp_path, command, lines, A, code):
     path = write(tmp_path, lines)
-    argv = ["multiplicity", path, "--equation", "generalized", "--A", A, "--B", "1", "--no-timestamp"]
+    argv = [command, path, "--equation", "generalized", "--A", A, "--B", "1", "--no-timestamp"]
     result = _run_module(*argv)
-    assert (result.returncode, result.stderr) == (0, "")
+    # nothing on stderr but the one error line of a failed audit
+    assert (result.returncode, result.stderr.count("\n")) == (code, code != 0)
+    assert "Warning" not in result.stderr
 
 
 def test_every_report_box_is_the_applicable_box(tmp_path, capsys, monkeypatch):

@@ -540,8 +540,8 @@ def test_one_vertex_homotopy_degrees_scan_the_members_without_newton(monkeypatch
         scans.clear()
         degrees = degree._homotopy_degrees(spec, g1, CFG, (0.0, 0.5, 1.0) if classic else (1.0, 0.5, 0.0), 8)
         assert len(scans) == (3 if classic else 2)
-        (roots, signs), report = scans[0], degree_single_vertex(spec)
-        assert degrees == [report.degree] * 3 and sum(signs) == report.degree
+        (roots, signs, box), report = scans[0], degree_single_vertex(spec)
+        assert degrees == [report.degree] * 3 and sum(signs) == report.degree and box.radius == report.radius
         assert [np.array([r]).tobytes() for r in roots] == [u.tobytes() for u in report.solutions]
 
 

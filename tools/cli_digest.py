@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the CLI's answers on the benchmark's commands.
+"""SHA-256 digests of the CLI's answers on the benchmark's commands.
 
 Runs every distinct command of the three ``perfbench`` workloads at the
 given seeds, plus all five commands on each ``perfbench/gen.py`` family at
@@ -7,15 +7,16 @@ n = 1, 2 and 3, in-process and with BLAS pinned to one thread.  Each
 command's exit code, standard output, standard error and captured warnings
 go into the digest, in a fixed order.  Instance files are written to a
 temporary directory and named by relative paths, so two checkouts print
-the same digest exactly when their CLI answers agree byte for byte::
+the same digests exactly when their CLI answers agree byte for byte.  One
+line per command gives its own digest and argv, so a ``diff`` of two
+checkouts' outputs names the commands whose answers moved; the last line
+is the digest over all of them::
 
     python3 tools/cli_digest.py --seeds 7 11
     python3 tools/cli_digest.py --seeds 7 11 --root ../parent-checkout
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are
 imported; it defaults to the one holding this script.  Neither is changed.
-``--per-command`` first prints one SHA-256 per command, with its argv, so
-a ``diff`` of two checkouts' outputs names the commands whose answers moved.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11], help="benchmark seeds")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and perfbench/ to import")
-    parser.add_argument("--per-command", action="store_true",
-                        help="print each command's own digest and argv before the total")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -98,8 +97,7 @@ def main() -> int:
             argv = cmd.argv(path)
             record = json.dumps([argv, *run(argv)]).encode()
             digest.update(record)
-            if args.per_command:
-                print(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}")
+            print(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}")
         os.chdir(root)
     print(f"{digest.hexdigest()}  {len(listed)} commands, seeds {' '.join(map(str, args.seeds))}")
     return 0
