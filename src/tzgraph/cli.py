@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     SolveFailedError,
 )
-from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, elliptic_constant
+from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, _obstructed, elliptic_constant
 from .graphs import (
     WeightedGraph,
     _index_edges,
@@ -245,32 +245,13 @@ def canonical_text(doc: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in sorted(pairs))
 
 
-def _box_payload(box: AprioriBox | None):
-    if box is None:
-        return None
-    return {
-        "lower": box.lower,
-        "upper": box.upper,
-        "radius": box.radius,
-        "margin": box.margin,
-    }
-
-
 def _graph_payload(path: str, g: WeightedGraph) -> dict:
-    constants = graph_constants(g)
     return {
         "path": str(path),
         "n_vertices": g.n,
         "n_edges": g.m,
         "vertex_ids": list(g.vertex_ids),
-        "constants": {
-            "volume": constants.volume,
-            "w0": constants.w0,
-            "mu0": constants.mu0,
-            "ell": constants.ell,
-            "lambda1": constants.lambda1,
-            "elliptic_constant": elliptic_constant(g),
-        },
+        "constants": {**vars(graph_constants(g)), "elliptic_constant": elliptic_constant(g)},
     }
 
 
@@ -287,7 +268,7 @@ def _applicable_box(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox | None:
 
 
 def _cmd_solve(spec, g, cfg, args):
-    if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
+    if _obstructed(spec):
         raise NoSolutionError("integral obstruction: no solution exists")
     box = _applicable_box(spec, g)
     if spec.kind is Kind.CLASSIC and box is not None:
@@ -314,22 +295,12 @@ def _cmd_solve(spec, g, cfg, args):
 
 def _cmd_degree(spec, g, cfg, args):
     report = estimate_degree(spec, g, cfg, n_starts=args.starts, radius=args.radius)
-    result = {
-        "degree": report.degree,
-        "enumerated_degree": report.enumerated_degree,
-        "signs": list(report.signs),
-        "solutions": list(report.solutions),
-        "radius": report.radius,
-        "starts_used": report.starts_used,
-        "exhaustive_confidence": report.exhaustive_confidence.value,
-    }
-    return result, _applicable_box(spec, g), 0
+    return {**vars(report), "enumerated_degree": report.enumerated_degree}, _applicable_box(spec, g), 0
 
 
 def _cmd_bounds(spec, g, cfg, args):
     box = _apriori_box(spec, g)
-    result = {"box": _box_payload(box), "elliptic_constant": elliptic_constant(g)}
-    return result, box, 0
+    return {"box": {**vars(box)}, "elliptic_constant": elliptic_constant(g)}, box, 0
 
 
 def _cmd_multiplicity(spec, g, cfg, args):
@@ -401,7 +372,7 @@ def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[dict]:
             worst = max(worst, float(np.maximum.reduce(np.abs(column - jac[:, x]))) / scale)
     record("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}")
 
-    if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
+    if _obstructed(spec):
         worst_integral = math.inf
         for _ in range(100):
             u = rng.normal(0.0, 1.0, n)
@@ -528,18 +499,10 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "argv": argv,
         "config": {
-            "equation": args.equation,
-            "A": args.A,
-            "B": args.B,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "starts": args.starts,
-            "seed": args.seed,
-            "radius": args.radius,
-            "format": args.format,
+            k: v for k, v in vars(args).items() if k not in ("command", "graph", "output", "no_timestamp")
         },
         "graph": _graph_payload(args.graph, g),
-        "box": _box_payload(box),
+        "box": None if box is None else {**vars(box)},
         "result": result,
     }
     if not args.no_timestamp:

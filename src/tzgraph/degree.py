@@ -33,7 +33,7 @@ from .errors import (
     ExponentOverflowError,
     SpecValidationError,
 )
-from .estimates import AprioriBox, _apriori_box
+from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, _obstructed
 from .graphs import WeightedGraph
 from .model import (
     HomotopyParams,
@@ -265,7 +265,7 @@ def estimate_degree(
     enumeration.  Its root set, like the generalized one, is heuristic.
     """
     _check_search(radius, n_starts)
-    if spec.kind is Kind.CLASSIC and float(spec.h2.min()) >= 0.0:
+    if _obstructed(spec):
         ball = radius if radius is not None else math.inf
         return DegreeReport((), (), 0, ball, 0, Confidence.PROVEN)
     default_ball = radius is None
@@ -279,7 +279,7 @@ def estimate_degree(
         if g.n == 1:
             return degree_single_vertex(spec)
     radius = float(radius)
-    if spec.kind is Kind.CLASSIC and float(spec.h2.max()) < 0.0:
+    if spec.kind is Kind.CLASSIC and _hypothesis_holds(spec):
         fun, jac_fun = _kernels(spec, g)
         run_cfg, escape = _run_limits(cfg, radius)
         run = _newton_system(fun, jac_fun, np.zeros(g.n), run_cfg, escape_radius=escape)
@@ -313,7 +313,7 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     """
     if spec.n != 1:
         raise SpecValidationError("scalar enumeration needs a single-vertex problem")
-    if spec.kind is Kind.CLASSIC and float(spec.h2[0]) >= 0.0:
+    if _obstructed(spec):
         return DegreeReport((), (), 0, math.inf, 0, Confidence.PROVEN)
     roots, signs, box = _scalar_roots(spec, None)
     solutions = tuple(np.array([r]) for r in roots)

@@ -1,10 +1,11 @@
-"""Closed-form a priori bounds delimiting the search ball for solvers.
+"""Closed-form a priori bounds delimiting the search ball for solvers, and the sign tests on h2.
 
 Every bound here is solution-independent: it is evaluated from the
 coefficient extremes and graph constants alone, and every exact solution
 of the applicable equation is guaranteed to lie inside the resulting box.
 The ``radius`` field inflates the box so degree estimation works on a ball
-whose boundary provably carries no zeros.
+whose boundary provably carries no zeros.  The results split on the sign of
+h2, and ``_obstructed`` and ``_hypothesis_holds`` are the package's tests of it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def _apriori_box(spec: ProblemSpec, g: WeightedGraph) -> AprioriBox:
 def _hypothesis_holds(spec: ProblemSpec) -> bool:
     """The sign of h2 that the box of the spec's kind needs: h2 < 0 (classic) or h2 > 0 at every vertex."""
     return bool(np.all(spec.h2 < 0.0 if spec.kind is Kind.CLASSIC else spec.h2 > 0.0))
+
+
+def _obstructed(spec: ProblemSpec) -> bool:
+    """The integral obstruction: classic kind with h2 >= 0 at every vertex, where no solution exists."""
+    return spec.kind is Kind.CLASSIC and bool(np.all(spec.h2 >= 0.0))
 
 
 def bounds_classic(spec: ProblemSpec) -> AprioriBox:

@@ -100,13 +100,21 @@ class ProblemSpec:
             raise SpecValidationError("h1 must be strictly positive at every vertex")
         if not (0.0 < self.A < math.inf and 0.0 < self.B < math.inf):
             raise SpecValidationError("exponents A and B must be positive and finite")
+        # the deformation members' coefficients are bounded by these, so their products stay finite too
+        A, B = float(self.A), float(self.B)
+        top = np.maximum.reduce
+        scaled = (A * float(top(h1, initial=0.0)), B * float(top(np.abs(h2), initial=0.0)), A + B)
+        if not all(map(math.isfinite, scaled)):
+            raise SpecValidationError(
+                f"exponents A = {A:g}, B = {B:g} too large: A * max h1, B * max |h2| and A + B must be finite"
+            )
         h1.flags.writeable = False
         h2.flags.writeable = False
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
         object.__setattr__(self, "kind", Kind(self.kind))
-        object.__setattr__(self, "A", float(self.A))
-        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:

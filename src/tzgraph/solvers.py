@@ -28,7 +28,7 @@ from .errors import (
     SolveFailedError,
     SpecValidationError,
 )
-from .estimates import bounds_generalized
+from .estimates import _hypothesis_holds, bounds_generalized
 from .graphs import WeightedGraph, as_field
 from .model import (
     HomotopyParams,
@@ -568,10 +568,8 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
     if spec.kind is not Kind.GENERALIZED:
         raise BarrierInapplicableError("barriers are defined for the generalized kind only")
     _check_spec_alignment(spec, g)
-    if np.any(spec.h2 <= 0.0):
-        raise BarrierInapplicableError(
-            "the two-solution hypotheses require h2 > 0 at every vertex"
-        )
+    if not _hypothesis_holds(spec):
+        raise BarrierInapplicableError("the two-solution hypotheses require h2 > 0 at every vertex")
     branch = multiplicity_branch(spec)
     if branch == 0:
         raise BarrierInapplicableError(

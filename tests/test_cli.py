@@ -678,6 +678,23 @@ def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, line
             assert not checks["degree_value"]["passed"] and "float range" in checks["degree_value"]["detail"]
 
 
+# A * max h1 overflows on both files, and so do A + B and B * max |h2| on the first
+HUGE_EXPONENTS = [
+    ("vertex a 1 1 -1\nvertex b 2 0.5 -2\nedge a b 1\n", ["--equation", "classic", "--A", "1e308", "--B", "1e308"]),
+    ("vertex a 1 2 1\nvertex b 1 1 1\nedge a b 1\n", ["--equation", "generalized", "--A", "1e308", "--B", "1"]),
+]
+
+
+@pytest.mark.parametrize("lines,flags", HUGE_EXPONENTS)
+def test_exponents_too_large_for_the_coefficients_are_a_validation_error(tmp_path, capsys, lines, flags):
+    # in-process, so that an overflow warning fails the test under pytest's error::RuntimeWarning
+    path = write(tmp_path, lines)
+    for command in COMMANDS:
+        code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: validation: exponents ") and "must be finite" in err
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="model._energy_kernel divides h1 by a tiny A and overflows to inf, with a RuntimeWarning",
@@ -700,8 +717,15 @@ def test_the_energy_with_a_tiny_exponent_prints_no_warning(tmp_path, command, li
 
 
 def test_every_report_box_is_the_applicable_box(tmp_path, capsys, monkeypatch):
+    # and every record that copies a dataclass has that dataclass's fields, no more and no fewer
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     gen = importlib.import_module("gen")
+    box_keys, constants_keys, degree_keys = (
+        {f.name for f in dataclasses.fields(cls)}
+        for cls in (tzgraph.AprioriBox, tzgraph.GraphConstants, degree.DegreeReport)
+    )
+    flags_kept = {a.dest for a in build_parser()._actions} - {"help", "command", "graph", "output", "no_timestamp"}
+    assert flags_kept == {"equation", "A", "B", "tol", "max_iter", "starts", "seed", "radius", "format"}
     reported = set()
     for family in gen.FAMILIES:
         for n in (1, 2, 3):
@@ -715,7 +739,15 @@ def test_every_report_box_is_the_applicable_box(tmp_path, capsys, monkeypatch):
                 if command == "bounds":
                     assert (code == 2) == (box is None)
                 if out:
-                    assert json.loads(out)["box"] == cli._box_payload(box)
+                    report = json.loads(out)
+                    assert report["box"] == (None if box is None else vars(box))
+                    assert box is None or set(report["box"]) == box_keys
+                    assert set(report["graph"]["constants"]) == constants_keys | {"elliptic_constant"}
+                    assert set(report["config"]) == flags_kept
+                    if command == "bounds":
+                        assert report["result"]["box"] == report["box"]
+                    if command == "degree":
+                        assert set(report["result"]) == degree_keys | {"enumerated_degree"}
                     reported.add(command)
     assert reported == set(COMMANDS)
 

@@ -1,5 +1,7 @@
-"""A priori boxes and the elliptic estimate constant."""
+"""A priori boxes, the sign tests on h2, and the elliptic estimate constant."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -18,7 +20,8 @@ from tzgraph import (
     newton,
     residual,
 )
-from tzgraph import estimates
+from tzgraph import cli, degree, estimate_degree, estimates, graphs, linalg, model, solvers
+from tzgraph.errors import BarrierInapplicableError, NoSolutionError, TzgraphError
 from tzgraph.graphs import WeightedGraph
 
 
@@ -211,3 +214,84 @@ def test_the_apriori_box_is_the_box_of_the_kind():
         classic, generalized = helpers.classic_spec(rng, n), helpers.generalized_spec(rng, n)
         assert estimates._apriori_box(classic, g) == bounds_classic(classic)
         assert estimates._apriori_box(generalized, g) == bounds_generalized(generalized, g)
+
+
+def _h2_sign_tests(source: str) -> list[str]:
+    """The comparisons with 0 in ``source``'s code of an expression that reads a name holding ``h2``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        names = [n.attr if isinstance(n, ast.Attribute) else n.id
+                 for o in operands for n in ast.walk(o) if isinstance(n, (ast.Attribute, ast.Name))]
+        zero = any(isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 0
+                   for o in operands)
+        if zero and any("h2" in name for name in names):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_sign_tests_on_h2_live_in_estimates():
+    # the detector sees the spellings that the two predicates stand for
+    for spelled in ("float(spec.h2.min()) >= 0.0", "float(spec.h2.max()) < 0.0", "float(spec.h2[0]) >= 0.0",
+                    "np.any(spec.h2 <= 0.0)", "np.all(spec.h2 > 0)"):
+        assert len(_h2_sign_tests(spelled)) == 1, spelled
+    for module in (cli, degree, solvers, graphs, linalg):
+        assert _h2_sign_tests(inspect.getsource(module)) == [], module.__name__
+    # model sits below estimates and keeps the classic deformation's own condition, for any kind
+    assert _h2_sign_tests(inspect.getsource(model)) == ["max_h2 >= 0.0"]
+    assert _h2_sign_tests(inspect.getsource(model.default_epsilon)) == ["max_h2 >= 0.0"]
+    estimates_tests = sorted(_h2_sign_tests(inspect.getsource(estimates)))
+    assert estimates_tests == ["spec.h2 < 0.0", "spec.h2 > 0.0", "spec.h2 >= 0.0"]
+
+
+# h2 by sign, on n vertices; the mixed patterns are mixed from n = 2 on
+H2_SIGNS = {
+    "negative": lambda rng, n: -rng.uniform(0.5, 2.0, n),
+    "zero": lambda rng, n: np.zeros(n),
+    "negative zero": lambda rng, n: np.full(n, -0.0),
+    "positive": lambda rng, n: rng.uniform(0.5, 2.0, n),
+    "mixed": lambda rng, n: rng.uniform(0.5, 2.0, n) * np.resize([-1.0, 1.0], n),
+    "zero and negative": lambda rng, n: -rng.uniform(0.5, 2.0, n) * (np.arange(n) > 0),
+    "zero and positive": lambda rng, n: rng.uniform(0.5, 2.0, n) * (np.arange(n) > 0),
+}
+
+
+def _raised(call) -> TzgraphError | None:
+    try:
+        call()
+    except TzgraphError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_the_sign_tests_on_h2_predict_what_the_commands_do(kind):
+    rng = np.random.default_rng(131)
+    cfg = SolverConfig()
+    for name, h2_of in H2_SIGNS.items():
+        for n in (1, 2, 3):
+            g = helpers.random_graph(rng, n)
+            spec = ProblemSpec(kind, rng.uniform(0.5, 2.0, n), h2_of(rng, n),
+                               float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            obstructed = kind is Kind.CLASSIC and all(h >= 0.0 for h in spec.h2.tolist())
+            holds = all(h < 0.0 if kind is Kind.CLASSIC else h > 0.0 for h in spec.h2.tolist())
+            case = (name, n)
+            assert estimates._obstructed(spec) is obstructed and estimates._hypothesis_holds(spec) is holds, case
+
+            exc = _raised(lambda: cli._cmd_solve(spec, g, cfg, None))
+            assert isinstance(exc, NoSolutionError) == obstructed, case
+            exc = _raised(lambda: cli._cmd_bounds(spec, g, cfg, None))
+            assert isinstance(exc, BoundsInapplicableError) == (not holds), case
+            exc = _raised(lambda: solvers.choose_barriers(spec, g))
+            barred = kind is Kind.CLASSIC or not holds or solvers.multiplicity_branch(spec) == 0
+            assert isinstance(exc, BarrierInapplicableError) == barred, case
+
+            reports = []
+            exc = _raised(lambda: reports.append(estimate_degree(spec, g, cfg, n_starts=8)))
+            assert isinstance(exc, BoundsInapplicableError) == (not obstructed and not holds), case
+            if obstructed:
+                assert (reports[0].degree, reports[0].solutions) == (0, ()), case
+            proven = bool(reports) and reports[0].exhaustive_confidence is degree.Confidence.PROVEN
+            assert proven == (obstructed or (holds and (kind is Kind.CLASSIC or n == 1))), case

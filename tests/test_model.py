@@ -292,6 +292,17 @@ def test_problem_spec_validation():
     for A, B in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)):
         with pytest.raises(SpecValidationError):
             ProblemSpec(Kind.CLASSIC, np.array([1.0]), np.array([-1.0]), A, B)
+    # exponents too large for the coefficients: A * max h1, B * max |h2| and A + B in turn leave
+    # the float range, each alone; at the edge of the range the spec stands
+    for kind in Kind:
+        for h1, h2, A, B in (
+            ([1.0, 1e10], [-1.0, 1.0], 1e300, 1.0),
+            ([1.0, 1.0], [1.0, -1e10], 1.0, 1e300),
+            ([1e-300, 1e-300], [-1e-300, 1e-300], 1e308, 1e308),
+        ):
+            with pytest.raises(SpecValidationError, match="must be finite"):
+                ProblemSpec(kind, np.array(h1), np.array(h2), A, B)
+        assert ProblemSpec(kind, np.array([1.0, 0.5]), np.array([-1.0, -0.0]), 1e308, 1.0).A == 1e308
 
 
 # ---------------------------------------------------------------------------

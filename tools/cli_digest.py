@@ -3,7 +3,9 @@
 
 Runs every distinct command of the three ``perfbench`` workloads at the
 given seeds, plus all five commands on each ``perfbench/gen.py`` family at
-n = 1, 2 and 3, in-process and with BLAS pinned to one thread.  Each
+n = 1, 2 and 3 and, under both kinds, on fixed files where h2 is zero,
+-0.0, of mixed sign or at the ends of the float range, which no generated
+family reaches; in-process and with BLAS pinned to one thread.  Each
 command's exit code, standard output, standard error and captured warnings
 go into the digest, in a fixed order.  Instance files are written to a
 temporary directory and named by relative paths, so two checkouts print
@@ -38,10 +40,29 @@ from pathlib import Path
 
 KINDS = ("solve", "degree", "bounds", "multiplicity", "check")
 SMALL_SIZES = (1, 2, 3)
+# the sign boundaries of h2: two vertices with mu = (1, 2), h1 = (1, 0.5) and one unit edge,
+# and one vertex with each ``h1 h2`` pair
+BOUNDARY_PAIR_H2 = (("0", "0"), ("0", "-2"), ("0", "2"), ("-0.0", "-0.0"), ("-1", "1"))
+BOUNDARY_VERTEX = (
+    ("1", "0"), ("1e-300", "-1e300"), ("1e300", "-1e-300"), ("1e-300", "1e300"), ("1e300", "1e-300"),
+)
+
+
+def boundary_instances() -> list:
+    """The fixed sign-boundary files under both kinds, with A = B = 1; both kinds of a file share its name."""
+    from gen import Instance
+
+    texts = [(2, f"vertex a 1 1 {a}\nvertex b 2 0.5 {b}\nedge a b 1\n") for a, b in BOUNDARY_PAIR_H2]
+    texts += [(1, f"vertex o 1 {h1} {h2}\n") for h1, h2 in BOUNDARY_VERTEX]
+    return [
+        Instance("boundary", n, index, equation, 1.0, 1.0, text)
+        for equation in ("classic", "generalized")
+        for index, (n, text) in enumerate(texts)
+    ]
 
 
 def commands(seeds: list[int]) -> list:
-    """Distinct ``(seed, Command)`` pairs, first occurrence first."""
+    """Distinct ``(file stem, Command)`` pairs, first occurrence first."""
     from gen import FAMILIES, make_instance
     from workloads import WORKLOADS, Command, build
 
@@ -57,8 +78,8 @@ def commands(seeds: list[int]) -> list:
     for seed, cmd in listed:
         if cmd not in seen:
             seen.add(cmd)
-            distinct.append((seed, cmd))
-    return distinct
+            distinct.append((f"s{seed}-{cmd.instance.name}", cmd))
+    return distinct + [(inst.name, Command(kind, inst)) for inst in boundary_instances() for kind in KINDS]
 
 
 def run(argv: list[str]) -> list:
@@ -90,8 +111,8 @@ def main() -> int:
     listed = commands(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for seed, cmd in listed:
-            path = Path(f"s{seed}-{cmd.instance.name}.graph")
+        for stem, cmd in listed:
+            path = Path(f"{stem}.graph")
             if not path.exists():
                 path.write_text(cmd.instance.text, encoding="utf-8")
             argv = cmd.argv(path)
