@@ -43,20 +43,14 @@ from .errors import (
 from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, _obstructed, elliptic_constant
 from .graphs import (
     WeightedGraph,
+    _gradient_norm_sq_rows,
     _index_edges,
+    _integrals,
+    _laplacian_rows,
     graph_constants,
-    gradient_norm_sq,
-    integrate,
-    laplacian,
 )
-from .model import (
-    Kind,
-    ProblemSpec,
-    energy,
-    energy_gradient,
-    jacobian,
-    residual,
-)
+from .model import Kind, ProblemSpec, _energy_kernel, _kernels
+from .model import residual  # noqa: F401  unused; perfbench's tracing tests rebind and read cli.residual
 from .solvers import (
     SolverConfig,
     _two_solutions,
@@ -319,95 +313,97 @@ def _cmd_multiplicity(spec, g, cfg, args):
 
 def _cmd_check(spec, g, cfg, args):
     box = _applicable_box(spec, g)
-    checks = _run_checks(spec, g, cfg, args, box)
+    records = _run_checks(spec, g, cfg, args, box)
+    checks = [{"name": name, "passed": bool(passed), "detail": detail} for name, passed, detail in records]
     all_passed = all(c["passed"] for c in checks)
     result = {"checks": checks, "all_passed": all_passed}
     return result, box, 0 if all_passed else 3
 
 
-def _central_difference(fun, u: np.ndarray, tau: float = 1e-6) -> np.ndarray:
+_FD_STEP = 1e-6  # tau of the central differences
+
+
+def _central_difference(fun, u: np.ndarray) -> np.ndarray:
     """Row x is ``(fun(u + tau e_x) - fun(u - tau e_x)) / (2 tau)``, the derivative along e_x."""
-    return np.array([(fun(u + bump) - fun(u - bump)) / (2 * tau) for bump in tau * np.eye(u.size)])
+    bumps = _FD_STEP * np.eye(u.size)
+    return np.array([(fun(u + bump) - fun(u - bump)) / (2 * _FD_STEP) for bump in bumps])
 
 
-def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[dict]:
-    rng = np.random.default_rng(args.seed)
-    n = g.n
-    total_weight = float(g.edge_weight.sum())
-    checks: list[dict] = []
+def _field_audits(spec: ProblemSpec, g: WeightedGraph, rng: np.random.Generator) -> list[tuple]:
+    """``(name, passed, detail)`` of the audits on random fields, in report order.
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+    Each audit draws its fields as one ``(k, n)`` block, the same numbers as k
+    draws of one field, and every row keeps the bits of a field evaluated alone.
+    The residual, Jacobian and energy kernels are bound once; a field that the
+    exponent guard rejects raises.
+    """
+    n, mu = g.n, g.mu
+    fun, jac = _kernels(spec, g)
 
-    worst = 0.0
-    for _ in range(20):
-        u = rng.normal(0.0, 0.75, n)
-        bound = 1e-10 * (1.0 + float(np.maximum.reduce(np.abs(u))) * total_weight)
-        worst = max(worst, abs(integrate(g, laplacian(g, u))) / bound)
-    record("divergence_identity", worst <= 1.0, f"worst ratio {worst:.3e}")
+    # each worst value folds the rows in order with max, as a loop over fields would
+    u = rng.normal(0.0, 0.75, (20, n))
+    bound = 1e-10 * (1.0 + np.maximum.reduce(np.abs(u), axis=1) * float(g.edge_weight.sum()))
+    worst = max(0.0, *np.abs(_integrals(g, _laplacian_rows(g, u))) / bound)
+    checks = [("divergence_identity", worst <= 1.0, f"worst ratio {worst:.3e}")]
 
-    worst = 0.0
-    for _ in range(20):
-        u = rng.normal(0.0, 0.75, n)
-        lhs = integrate(g, gradient_norm_sq(g, u))
-        rhs = -integrate(g, u * laplacian(g, u))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    record("integration_by_parts", worst <= 1e-10, f"worst relative gap {worst:.3e}")
+    u = rng.normal(0.0, 0.75, (20, n))
+    lhs = _integrals(g, _gradient_norm_sq_rows(g, u))
+    rhs = -_integrals(g, u * _laplacian_rows(g, u))
+    worst = max(0.0, *np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30))
+    checks.append(("integration_by_parts", worst <= 1e-10, f"worst relative gap {worst:.3e}"))
 
-    c_elliptic = elliptic_constant(g)
-    violations = 0
-    for _ in range(50):
-        u = rng.normal(0.0, 1.0, n)
-        spread = float(u.max() - u.min())
-        if spread > c_elliptic * float(np.maximum.reduce(np.abs(laplacian(g, u)))) + 1e-12:
-            violations += 1
-    record("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields")
+    u = rng.normal(0.0, 1.0, (50, n))
+    sup = np.maximum.reduce(np.abs(_laplacian_rows(g, u)), axis=1)
+    spread = u.max(axis=1) - u.min(axis=1)
+    violations = int(np.count_nonzero(spread > elliptic_constant(g) * sup + 1e-12))
+    checks.append(("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields"))
 
     worst = 0.0
-    for _ in range(2):
-        u = rng.normal(0.0, 0.4, n)
-        jac = jacobian(spec, g, u)
-        for x, column in enumerate(_central_difference(lambda v: residual(spec, g, v), u)):
-            scale = max(float(np.maximum.reduce(np.abs(jac[:, x]))), 1.0)
-            worst = max(worst, float(np.maximum.reduce(np.abs(column - jac[:, x]))) / scale)
-    record("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}")
+    for u in rng.normal(0.0, 0.4, (2, n)):
+        jac_u = jac(u)
+        column = np.maximum(np.maximum.reduce(np.abs(jac_u)), 1.0)
+        # entry (x, y) has its column's scale, floored by the rounding of F_y(u), which loses
+        # about 4 eps |F_y(u)| in a difference over 2 tau
+        scale = np.maximum(column[:, None], 4 * np.finfo(float).eps * np.abs(fun(u)) / (2 * _FD_STEP))
+        errors = np.abs(_central_difference(fun, u) - jac_u.T) / scale
+        worst = max(worst, *np.maximum.reduce(errors, axis=1))
+    checks.append(("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}"))
 
     if _obstructed(spec):
-        worst_integral = math.inf
-        for _ in range(100):
-            u = rng.normal(0.0, 1.0, n)
-            worst_integral = min(worst_integral, integrate(g, residual(spec, g, u)))
-        record(
-            "integral_obstruction",
-            worst_integral > 0.0,
-            f"smallest residual integral {worst_integral:.3e}",
-        )
+        smallest = min(math.inf, *(np.dot(mu, fun(u)) for u in rng.normal(0.0, 1.0, (100, n))))
+        checks.append(("integral_obstruction", smallest > 0.0, f"smallest residual integral {smallest:.3e}"))
 
+    if spec.kind is Kind.GENERALIZED and _hypothesis_holds(spec):
+        energy_of, worst = _energy_kernel(spec, g), 0.0
+        for u in rng.normal(0.0, 0.4, (20, n)):
+            grad = fun(u)  # the energy's gradient in the mu-weighted inner product
+            scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
+            fd = _central_difference(energy_of, u) / mu
+            worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
+        checks.append(("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}"))
+    return checks
+
+
+def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[tuple]:
+    checks = _field_audits(spec, g, np.random.default_rng(args.seed))
     if not _hypothesis_holds(spec):
         return checks
     if spec.kind is Kind.CLASSIC:
         final = continuation(spec, g, default_t_grid(), cfg)[-1]
-        direct = newton(spec, g, np.zeros(n), cfg)
+        direct = newton(spec, g, np.zeros(g.n), cfg)
         gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
-        record("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}")
+        checks.append(("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}"))
         t_values, n_starts, proven = (0.0, 0.5, 1.0), min(args.starts, 32), 1
     else:
-        worst = 0.0
-        for _ in range(20):
-            u = rng.normal(0.0, 0.4, n)
-            grad = energy_gradient(spec, g, u)
-            fd = _central_difference(lambda v: energy(spec, g, v), u) / g.mu
-            scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
-            worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
-        record("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}")
         # t = 1, the undeformed map that degree_value reports, is enumerated first
         t_values, n_starts, proven = (1.0, 0.5, 0.0), min(args.starts, 48), 0
     if box is None:
-        record("degree_value", False, "no ball to count zeros in: the a priori box leaves the float range")
-        return checks
+        detail = "no ball to count zeros in: the a priori box leaves the float range"
+        return checks + [("degree_value", False, detail)]
     degrees = _homotopy_degrees(spec, g, cfg, t_values, n_starts)
-    record("degree_value", degrees[0] == proven, f"estimated degree {degrees[0]}")
-    record("homotopy_invariance", len(set(degrees)) == 1, "degrees agree across t in {0, 0.5, 1}")
+    checks.append(("degree_value", degrees[0] == proven, f"estimated degree {degrees[0]}"))
+    detail = f'degrees {", ".join(map(str, degrees))} at t = {", ".join(f"{t:g}" for t in t_values)}'
+    checks.append(("homotopy_invariance", len(set(degrees)) == 1, detail))
     return checks
 
 

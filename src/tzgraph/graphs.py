@@ -236,11 +236,15 @@ def as_field(g: WeightedGraph, values: Sequence[float] | np.ndarray) -> np.ndarr
 
 def laplacian(g: WeightedGraph, u: Sequence[float] | np.ndarray) -> np.ndarray:
     """Pointwise weighted Laplacian: (1/mu) sum of w * neighbor differences."""
-    u = as_field(g, u)
-    out = np.zeros(g.n)
-    diff = g.edge_weight * (u[g.edge_head] - u[g.edge_tail])
-    np.add.at(out, g.edge_tail, diff)
-    np.add.at(out, g.edge_head, -diff)
+    return _laplacian_rows(g, as_field(g, u)[None])[0]
+
+
+def _laplacian_rows(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
+    """``laplacian`` of each row of an unchecked ``(k, n)`` block; each vertex sums in edge order."""
+    out = np.zeros(u.shape)
+    diff = g.edge_weight * (u[:, g.edge_head] - u[:, g.edge_tail])
+    np.add.at(out, (slice(None), g.edge_tail), diff)
+    np.add.at(out, (slice(None), g.edge_head), -diff)
     return out / g.mu
 
 
@@ -258,17 +262,26 @@ def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
 
 def gradient_norm_sq(g: WeightedGraph, u: Sequence[float] | np.ndarray) -> np.ndarray:
     """Squared gradient length: (1/(2 mu)) sum of w * squared differences."""
-    u = as_field(g, u)
-    out = np.zeros(g.n)
-    sq = g.edge_weight * (u[g.edge_head] - u[g.edge_tail]) ** 2
-    np.add.at(out, g.edge_tail, sq)
-    np.add.at(out, g.edge_head, sq)
+    return _gradient_norm_sq_rows(g, as_field(g, u)[None])[0]
+
+
+def _gradient_norm_sq_rows(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
+    """``gradient_norm_sq`` of each row of an unchecked ``(k, n)`` block, summed like ``_laplacian_rows``."""
+    out = np.zeros(u.shape)
+    sq = g.edge_weight * (u[:, g.edge_head] - u[:, g.edge_tail]) ** 2
+    np.add.at(out, (slice(None), g.edge_tail), sq)
+    np.add.at(out, (slice(None), g.edge_head), sq)
     return out / (2.0 * g.mu)
 
 
 def integrate(g: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:
     """Integral of a vertex field against the vertex measure."""
-    return float(np.dot(g.mu, as_field(g, f)))
+    return float(_integrals(g, as_field(g, f)[None])[0])
+
+
+def _integrals(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
+    """``integrate`` of each row of an unchecked ``(k, n)`` block, one ``np.dot`` a row."""
+    return np.array([np.dot(g.mu, row) for row in f])
 
 
 def average(g: WeightedGraph, f: Sequence[float] | np.ndarray) -> float:

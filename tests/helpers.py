@@ -27,8 +27,14 @@ from tzgraph import (
     default_epsilon,
     default_t_grid,
     degree,
+    elliptic_constant,
+    energy,
+    energy_gradient,
+    gradient_norm_sq,
+    integrate,
     jacobian,
     jacobian_homotopy,
+    laplacian,
     linalg,
     residual,
 )
@@ -711,6 +717,67 @@ def central_difference_oracle(fun, u, tau: float = 1e-6) -> np.ndarray:
         bump = tau * np.eye(n)[x]
         rows.append((fun(u + bump) - fun(u - bump)) / (2 * tau))
     return np.array(rows)
+
+
+def field_audits_oracle(spec: ProblemSpec, g: WeightedGraph, seed: int) -> list[tuple]:
+    """``cli._field_audits`` as it was written: one field at a time through the public, validating
+    functions, with a column scale alone in ``jacobian_fd``; ``(name, passed, detail)`` records."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    total_weight = float(g.edge_weight.sum())
+    checks = []
+
+    worst = 0.0
+    for _ in range(20):
+        u = rng.normal(0.0, 0.75, n)
+        bound = 1e-10 * (1.0 + float(np.maximum.reduce(np.abs(u))) * total_weight)
+        worst = max(worst, abs(integrate(g, laplacian(g, u))) / bound)
+    checks.append(("divergence_identity", worst <= 1.0, f"worst ratio {worst:.3e}"))
+
+    worst = 0.0
+    for _ in range(20):
+        u = rng.normal(0.0, 0.75, n)
+        lhs = integrate(g, gradient_norm_sq(g, u))
+        rhs = -integrate(g, u * laplacian(g, u))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+    checks.append(("integration_by_parts", worst <= 1e-10, f"worst relative gap {worst:.3e}"))
+
+    c_elliptic = elliptic_constant(g)
+    violations = 0
+    for _ in range(50):
+        u = rng.normal(0.0, 1.0, n)
+        spread = float(u.max() - u.min())
+        if spread > c_elliptic * float(np.maximum.reduce(np.abs(laplacian(g, u)))) + 1e-12:
+            violations += 1
+    checks.append(("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields"))
+
+    worst = 0.0
+    for _ in range(2):
+        u = rng.normal(0.0, 0.4, n)
+        jac = jacobian(spec, g, u)
+        for x, column in enumerate(central_difference_oracle(lambda v: residual(spec, g, v), u)):
+            scale = max(float(np.maximum.reduce(np.abs(jac[:, x]))), 1.0)
+            worst = max(worst, float(np.maximum.reduce(np.abs(column - jac[:, x]))) / scale)
+    checks.append(("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}"))
+
+    if spec.kind is Kind.CLASSIC and np.all(spec.h2 >= 0.0):
+        worst_integral = math.inf
+        for _ in range(100):
+            u = rng.normal(0.0, 1.0, n)
+            worst_integral = min(worst_integral, integrate(g, residual(spec, g, u)))
+        detail = f"smallest residual integral {worst_integral:.3e}"
+        checks.append(("integral_obstruction", worst_integral > 0.0, detail))
+
+    if spec.kind is Kind.GENERALIZED and np.all(spec.h2 > 0.0):
+        worst = 0.0
+        for _ in range(20):
+            u = rng.normal(0.0, 0.4, n)
+            grad = energy_gradient(spec, g, u)
+            fd = central_difference_oracle(lambda v: energy(spec, g, v), u) / g.mu
+            scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
+            worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
+        checks.append(("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}"))
+    return checks
 
 
 def enumerate_signed_roots_oracle(

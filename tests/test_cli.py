@@ -517,7 +517,81 @@ def test_check_with_a_failed_invariant_exits_3(tmp_path, capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert code == 3 and result["all_passed"] is False
     assert [c["name"] for c in result["checks"] if not c["passed"]] == ["homotopy_invariance"]
+    assert result["checks"][-1]["detail"] == "degrees 1, 0, 1 at t = 0, 0.5, 1"
     assert err == "error: numerical: invariant checks failed: homotopy_invariance\n"
+
+
+# row 0 of the residual holds about 2e216 at the second jacobian_fd field with A = 2000
+LARGE_ROW_LINES = "vertex a 1 1 -1\nvertex b 2 0.5 -2\nedge a b 1\n"
+
+
+def test_jacobian_fd_floors_each_entry_at_the_rounding_of_its_row(tmp_path, capsys):
+    # the difference quotient cannot see row 0's -1 entry under the rounding of F_0; the worst
+    # error left is the central difference's truncation, (A tau)^2 / 6
+    path = write(tmp_path, LARGE_ROW_LINES)
+    argv = ["check", path, "--equation", "classic", "--A", "2000", "--B", "1", "--no-timestamp"]
+    code, out, err = run(capsys, argv)
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert (code, err) == (0, "")
+    assert checks["jacobian_fd"] == {"name": "jacobian_fd", "passed": True, "detail": "worst relative error 6.667e-07"}
+
+
+@pytest.mark.parametrize(
+    "equation,lines,A",
+    [
+        pytest.param("classic", K2_LINES, "1", id="classic"),
+        pytest.param("generalized", K2_GENERALIZED_LINES, "1", id="generalized"),
+        pytest.param("classic", LARGE_ROW_LINES, "2000", id="classic-large-row"),
+    ],
+)
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1)], ids=["entry00", "entry11"])
+def test_jacobian_fd_fails_a_jacobian_with_one_entry_off(tmp_path, capsys, monkeypatch, equation, lines, A, entry):
+    kernels = cli._kernels
+
+    def kernels_one_entry_off(spec, g):
+        fun, jac = kernels(spec, g)
+
+        def off(u):
+            mat = jac(u)
+            mat[entry] *= 1.0 + 1e-3
+            return mat
+
+        return fun, off
+
+    monkeypatch.setattr(cli, "_kernels", kernels_one_entry_off)
+    path = write(tmp_path, lines)
+    argv = ["check", path, "--equation", equation, "--A", A, "--B", "1", "--no-timestamp", "--starts", "8"]
+    code, out, _ = run(capsys, argv)
+    failed = [c["name"] for c in json.loads(out)["result"]["checks"] if not c["passed"]]
+    assert code == 3 and "jacobian_fd" in failed
+
+
+@pytest.mark.parametrize("A", [3000.0, 1000.0], ids=["jacobian_fd", "integral_obstruction"])
+def test_a_field_the_exponent_guard_rejects_raises_as_in_the_per_field_loops(tmp_path, capsys, A):
+    path = write(tmp_path, "vertex a 1 1 1\nvertex b 2 0.5 2\nedge a b 1\n")
+    g, h1, h2 = parse_graph(path).to_graph()
+    with pytest.raises(tzgraph.ExponentOverflowError) as expected:
+        helpers.field_audits_oracle(tzgraph.ProblemSpec("classic", h1, h2, A, 1.0), g, 0)
+    argv = ["check", path, "--equation", "classic", "--A", repr(A), "--B", "1", "--no-timestamp"]
+    assert run(capsys, argv) == (3, "", f"error: numerical: {expected.value}\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_field_audits_match_the_per_field_loops(tmp_path, monkeypatch, seed):
+    # every record of the block audits equals the one-field-at-a-time loops', field for field
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    names = set()
+    for family in gen.FAMILIES:
+        for n in (1, 2, 3, 8):
+            inst = gen.make_instance(family, n, seed=7)
+            g, h1, h2 = parse_graph(gen.write_instance(inst, tmp_path)).to_graph()
+            spec = tzgraph.ProblemSpec(inst.equation, h1, h2, inst.A, inst.B)
+            records = cli._field_audits(spec, g, np.random.default_rng(seed))
+            expected = helpers.field_audits_oracle(spec, g, seed)
+            assert [(name, bool(passed), detail) for name, passed, detail in records] == expected
+            names.update(name for name, _, _ in records)
+    assert len(names) == 6  # the four audits of every kind, the obstruction and the energy gradient
 
 
 def test_report_carries_timestamp_and_wall_time_unless_told_not_to(tmp_path, capsys):
@@ -534,14 +608,18 @@ def test_report_carries_timestamp_and_wall_time_unless_told_not_to(tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "equation,lines,enumerations",
-    [("classic", K2_LINES, 3), ("generalized", K2_GENERALIZED_LINES, 2)],
+    "equation,lines,enumerations,listed",
+    [
+        ("classic", K2_LINES, 3, "degrees 1, 1, 1 at t = 0, 0.5, 1"),
+        ("generalized", K2_GENERALIZED_LINES, 2, "degrees 0, 0, 0 at t = 1, 0.5, 0"),
+    ],
 )
 def test_check_enumerates_each_deformation_member_once(
-    tmp_path, capsys, monkeypatch, equation, lines, enumerations
+    tmp_path, capsys, monkeypatch, equation, lines, enumerations, listed
 ):
     # classic: t = 0, 0.5, 1, where t = 0 gives degree_value; generalized:
-    # t = 1 (which gives degree_value) and 0.5, with t = 0 known to be 0
+    # t = 1 (which gives degree_value) and 0.5, with t = 0 known to be 0; the
+    # homotopy_invariance detail lists the degrees in that order
     enumerate_roots, calls = degree._enumerate_signed_roots, []
 
     def counted(*args):
@@ -554,8 +632,10 @@ def test_check_enumerates_each_deformation_member_once(
         capsys,
         ["check", path, "--equation", equation, "--A", "1", "--B", "1", "--no-timestamp", "--starts", "16"],
     )
-    assert code == 0 and json.loads(out)["result"]["all_passed"] is True
+    result = json.loads(out)["result"]
+    assert code == 0 and result["all_passed"] is True
     assert len(calls) == enumerations
+    assert result["checks"][-1] == {"name": "homotopy_invariance", "passed": True, "detail": listed}
 
 
 def test_report_values_rederive_via_api(tmp_path, capsys):

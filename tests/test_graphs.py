@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from tzgraph import (
@@ -17,6 +17,7 @@ from tzgraph import (
     laplacian,
     laplacian_matrix,
 )
+from tzgraph.graphs import _gradient_norm_sq_rows, _integrals, _laplacian_rows
 
 
 def test_laplacian_k2_unit():
@@ -223,6 +224,23 @@ def test_integration_by_parts(seed):
     lhs = integrate(g, gradient_norm_sq(g, u))
     rhs = -integrate(g, u * laplacian(g, u))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 10), st.sampled_from([1, 3, 50]))
+@example(0, 1, 1)
+@example(0, 1, 3)
+@example(0, 1, 50)
+def test_block_edge_sums_match_the_field_forms_row_by_row(seed, n, k):
+    # n = 1 is a graph without edges
+    rng = np.random.default_rng(seed)
+    g = helpers.random_graph(rng, n)
+    u = rng.normal(0.0, 2.0, (k, n))
+    lap, grad, ints = _laplacian_rows(g, u), _gradient_norm_sq_rows(g, u), _integrals(g, u)
+    assert lap.shape == grad.shape == (k, n) and ints.shape == (k,)
+    for row, lap_row, grad_row, integral in zip(u, lap, grad, ints):
+        assert np.array_equal(lap_row, laplacian(g, row))
+        assert np.array_equal(grad_row, gradient_norm_sq(g, row))
+        assert np.array_equal(integral, integrate(g, row))
 
 
 def test_integration_by_parts_hundred_fields():

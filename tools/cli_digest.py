@@ -5,7 +5,9 @@ Runs every distinct command of the three ``perfbench`` workloads at the
 given seeds, plus all five commands on each ``perfbench/gen.py`` family at
 n = 1, 2 and 3 and, under both kinds, on fixed files where h2 is zero,
 -0.0, of mixed sign or at the ends of the float range, which no generated
-family reaches; in-process and with BLAS pinned to one thread.  Each
+family reaches; then ``check`` once more on each family at n = 1 and 2 for
+each of the ``--seed`` values in ``CHECK_SEEDS`` (every other command runs
+at the default seed 0); in-process and with BLAS pinned to one thread.  Each
 command's exit code, standard output, standard error and captured warnings
 go into the digest, in a fixed order.  Instance files are written to a
 temporary directory and named by relative paths, so two checkouts print
@@ -40,6 +42,8 @@ from pathlib import Path
 
 KINDS = ("solve", "degree", "bounds", "multiplicity", "check")
 SMALL_SIZES = (1, 2, 3)
+# check draws its random fields from --seed
+CHECK_SEEDS = (1, 12345)
 # the sign boundaries of h2: two vertices with mu = (1, 2), h1 = (1, 0.5) and one unit edge,
 # and one vertex with each ``h1 h2`` pair
 BOUNDARY_PAIR_H2 = (("0", "0"), ("0", "-2"), ("0", "2"), ("-0.0", "-0.0"), ("-1", "1"))
@@ -62,7 +66,7 @@ def boundary_instances() -> list:
 
 
 def commands(seeds: list[int]) -> list:
-    """Distinct ``(file stem, Command)`` pairs, first occurrence first."""
+    """Distinct ``(file stem, Command, extra flags)`` triples, first occurrence first."""
     from gen import FAMILIES, make_instance
     from workloads import WORKLOADS, Command, build
 
@@ -78,8 +82,14 @@ def commands(seeds: list[int]) -> list:
     for seed, cmd in listed:
         if cmd not in seen:
             seen.add(cmd)
-            distinct.append((f"s{seed}-{cmd.instance.name}", cmd))
-    return distinct + [(inst.name, Command(kind, inst)) for inst in boundary_instances() for kind in KINDS]
+            distinct.append((f"s{seed}-{cmd.instance.name}", cmd, ()))
+    distinct += [(inst.name, Command(kind, inst), ()) for inst in boundary_instances() for kind in KINDS]
+    return distinct + [
+        (f"s{seed}-{inst.name}", Command("check", inst), ("--seed", str(check_seed)))
+        for seed in seeds
+        for inst in (make_instance(family, n, seed) for family in FAMILIES for n in SMALL_SIZES[:2])
+        for check_seed in CHECK_SEEDS
+    ]
 
 
 def run(argv: list[str]) -> list:
@@ -111,11 +121,11 @@ def main() -> int:
     listed = commands(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for stem, cmd in listed:
+        for stem, cmd, extra in listed:
             path = Path(f"{stem}.graph")
             if not path.exists():
                 path.write_text(cmd.instance.text, encoding="utf-8")
-            argv = cmd.argv(path)
+            argv = [*cmd.argv(path), *extra]
             record = json.dumps([argv, *run(argv)]).encode()
             digest.update(record)
             print(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}")
