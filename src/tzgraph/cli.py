@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degree import _homotopy_degrees, estimate_degree
+from .degree import N_STARTS, _homotopy_degrees, estimate_degree
 from .errors import (
     BoundsInapplicableError,
     InputError,
@@ -340,22 +340,22 @@ def _field_audits(spec: ProblemSpec, g: WeightedGraph, rng: np.random.Generator)
     n, mu = g.n, g.mu
     fun, jac = _kernels(spec, g)
 
-    # each worst value folds the rows in order with max, as a loop over fields would
+    # each worst value folds with numpy, which keeps a NaN: a field the audit cannot evaluate fails it
     u = rng.normal(0.0, 0.75, (20, n))
     bound = 1e-10 * (1.0 + np.maximum.reduce(np.abs(u), axis=1) * float(g.edge_weight.sum()))
-    worst = max(0.0, *np.abs(_integrals(g, _laplacian_rows(g, u))) / bound)
+    worst = np.max(np.abs(_integrals(g, _laplacian_rows(g, u))) / bound, initial=0.0)
     checks = [("divergence_identity", worst <= 1.0, f"worst ratio {worst:.3e}")]
 
     u = rng.normal(0.0, 0.75, (20, n))
     lhs = _integrals(g, _gradient_norm_sq_rows(g, u))
     rhs = -_integrals(g, u * _laplacian_rows(g, u))
-    worst = max(0.0, *np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30))
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30), initial=0.0)
     checks.append(("integration_by_parts", worst <= 1e-10, f"worst relative gap {worst:.3e}"))
 
     u = rng.normal(0.0, 1.0, (50, n))
     sup = np.maximum.reduce(np.abs(_laplacian_rows(g, u)), axis=1)
     spread = u.max(axis=1) - u.min(axis=1)
-    violations = int(np.count_nonzero(spread > elliptic_constant(g) * sup + 1e-12))
+    violations = int(np.count_nonzero(~(spread <= elliptic_constant(g) * sup + 1e-12)))
     checks.append(("elliptic_estimate", violations == 0, f"{violations} violations over 50 fields"))
 
     worst = 0.0
@@ -366,20 +366,20 @@ def _field_audits(spec: ProblemSpec, g: WeightedGraph, rng: np.random.Generator)
         # about 4 eps |F_y(u)| in a difference over 2 tau
         scale = np.maximum(column[:, None], 4 * np.finfo(float).eps * np.abs(fun(u)) / (2 * _FD_STEP))
         errors = np.abs(_central_difference(fun, u) - jac_u.T) / scale
-        worst = max(worst, *np.maximum.reduce(errors, axis=1))
+        worst = np.maximum(worst, np.max(errors))
     checks.append(("jacobian_fd", worst <= 5e-5, f"worst relative error {worst:.3e}"))
 
     if _obstructed(spec):
-        smallest = min(math.inf, *(np.dot(mu, fun(u)) for u in rng.normal(0.0, 1.0, (100, n))))
+        smallest = np.min([np.dot(mu, fun(u)) for u in rng.normal(0.0, 1.0, (100, n))])
         checks.append(("integral_obstruction", smallest > 0.0, f"smallest residual integral {smallest:.3e}"))
 
     if spec.kind is Kind.GENERALIZED and _hypothesis_holds(spec):
         energy_of, worst = _energy_kernel(spec, g), 0.0
         for u in rng.normal(0.0, 0.4, (20, n)):
             grad = fun(u)  # the energy's gradient in the mu-weighted inner product
-            scale = max(float(np.maximum.reduce(np.abs(grad))), 1e-8)
+            scale = np.maximum(np.max(np.abs(grad)), 1e-8)
             fd = _central_difference(energy_of, u) / mu
-            worst = max(worst, float(np.maximum.reduce(np.abs(fd - grad))) / scale)
+            worst = np.maximum(worst, np.max(np.abs(fd - grad)) / scale)
         checks.append(("energy_gradient_fd", worst <= 1e-5, f"worst relative error {worst:.3e}"))
     return checks
 
@@ -451,10 +451,10 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--A", type=float, required=True, help="exponent A > 0")
     parser.add_argument("--B", type=float, required=True, help="exponent B > 0")
-    parser.add_argument("--tol", type=float, default=1e-10, help="residual sup-norm target")
-    parser.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
-    parser.add_argument("--starts", type=int, default=64, help="multi-start count for degree estimation")
-    parser.add_argument("--seed", type=int, default=0, help="start-point sampling seed")
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol, help="residual sup-norm target")
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="Newton iteration cap")
+    parser.add_argument("--starts", type=int, default=N_STARTS, help="multi-start count for degree estimation")
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed, help="start-point sampling seed")
     parser.add_argument("--radius", type=float, default=None, help="override the search ball radius")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "text"], default="json", help="report format")

@@ -56,6 +56,8 @@ __all__ = [
 # two roots closer than this in sup norm are merged (with a warning);
 # an order above the default Newton tolerance
 DEDUP_RADIUS = 1e-5
+# the multi-start count when the caller names none, here and on the CLI
+N_STARTS = 64
 _SCAN_POINTS = 4097
 _DERIVATIVE_FLOOR = 1e-12
 
@@ -137,7 +139,6 @@ def _enumerate_signed_roots(
     wave one has starts, so wave one and the first probes run together.
     """
     fun, jac_fun = _kernels(spec, g, hp)
-    block_fun, block_jac = _kernels(spec, g, hp, block=True)
     dim = g.n
     queue = [np.zeros(dim)]
     if n_starts > 1:
@@ -207,7 +208,7 @@ def _enumerate_signed_roots(
 
     runs = 0
     while runs < len(queue):
-        passed = _newton_block(block_fun, block_jac, np.array(queue[runs:]), run_cfg, roots, escape, lanes)[2]
+        passed = _newton_block(fun, jac_fun, np.array(queue[runs:]), run_cfg, roots, escape, lanes)[2]
         runs += len(passed)
         if passed[-1]:
             certify(queue[runs - 1])
@@ -225,7 +226,7 @@ def estimate_degree(
     spec: ProblemSpec,
     g: WeightedGraph,
     cfg: SolverConfig = SolverConfig(),
-    n_starts: int = 64,
+    n_starts: int = N_STARTS,
     radius: float | None = None,
 ) -> DegreeReport:
     """Degree of the residual map over the a priori ball, and the zeros found in it.
@@ -394,7 +395,7 @@ def verify_homotopy_invariance(
     g: WeightedGraph,
     cfg: SolverConfig = SolverConfig(),
     t_values: Sequence[float] = (0.0, 0.5, 1.0),
-    n_starts: int = 64,
+    n_starts: int = N_STARTS,
 ) -> bool:
     """True when the estimated degree of the deformed map agrees at every t.
 

@@ -29,8 +29,8 @@ kernels below, the barrier crossings of ``solvers`` and the scalar scan of
 validate their inputs, then run one kernel with the deformation as a
 parameter (``_kernels``); ``energy`` does the same with ``_energy_kernel``.
 Solvers validate once per entry point and iterate on the kernels' unchecked
-callables, which keep only the exponent guard; ``_kernels(..., block=True)``
-evaluates a block of fields at once, with the guard applied per field.
+callables, which keep only the exponent guard.  The same callables take a
+``(k, n)`` block of fields at once, with the guard applied per field.
 """
 
 from __future__ import annotations
@@ -164,13 +164,15 @@ def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
 
 
 def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A u`` and ``-B u``, with a range guard instead of silent infinities later."""
+    """``A u`` and ``-B u``, with a range guard instead of silent infinities later: a field
+    past the cap raises, and a row of a ``(k, n)`` block past it gets infinite exponents."""
     au, bu = A * u, -B * u
-    up, down = float(np.maximum.reduce(au)), float(np.maximum.reduce(bu))
-    if up > cap or down > cap:
+    peak = np.maximum.reduce(np.maximum(au, bu), axis=-1)
+    if u.ndim > 1:
+        au[peak > cap] = bu[peak > cap] = math.inf
+    elif peak > cap:
         raise ExponentOverflowError(
-            f"exponent {max(up, down):.3g} exceeds the cap {cap:.0f}; "
-            "the iterate has left the trusted range"
+            f"exponent {peak:.3g} exceeds the cap {cap:.0f}; the iterate has left the trusted range"
         )
     return au, bu
 
@@ -212,52 +214,32 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
 
 
 def _kernels(
-    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None, block: bool = False
+    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Unchecked residual and Jacobian callables of the deformation ``hp``.
 
     ``hp=None`` is the equation itself: t = 0 for the classic kind, t = 1
     for the generalized kind.  The spec, the graph and the deformation are checked
     once, here; the callables trust their argument to be a finite field on
-    ``g`` and keep only the exponent guard.  With ``block``, they take a ``(k, n)`` block
-    of fields, each row with the bits of one field; a row the guard rejects is infinite.
+    ``g``, or a ``(k, n)`` block of them, each row with the bits of one field, and
+    keep only the exponent guard of ``_exponents``.
     """
     _check_spec_alignment(spec, g)
     pointwise, slope, cap = _pointwise(spec, hp)
     A, B, n = spec.A, spec.B, g.n
     neg_lap = g.neg_laplacian()
-
-    if block:
-        def exponents(u):
-            au, bu = A * u, -B * u
-            wild = (np.maximum.reduce(au, axis=1) > cap) | (np.maximum.reduce(bu, axis=1) > cap)
-            au[wild] = bu[wild] = 0.0  # evaluated without overflow, then marked
-            return au, bu, wild
-
-        def block_fun(u: np.ndarray) -> np.ndarray:
-            au, bu, wild = exponents(u)
-            value = (neg_lap @ u[:, :, None])[:, :, 0] + pointwise(au, bu)
-            value[wild] = math.inf
-            return value
-
-        def block_jac(u: np.ndarray) -> np.ndarray:
-            au, bu, wild = exponents(u)
-            mats = np.repeat(neg_lap[None], len(u), axis=0)
-            mats.reshape(len(u), n * n)[:, :: n + 1] += slope(au, bu)
-            mats[wild] = math.inf
-            return mats
-
-        return block_fun, block_jac
+    flat = neg_lap.ravel()
 
     def fun(u: np.ndarray) -> np.ndarray:
         nonlinear = pointwise(*_exponents(A, B, cap, u))
-        return neg_lap @ u + nonlinear
+        return (neg_lap @ u[..., None])[..., 0] + nonlinear
 
     def jac(u: np.ndarray) -> np.ndarray:
         diag = slope(*_exponents(A, B, cap, u))
-        mat = neg_lap.copy()
-        mat.flat[:: n + 1] += diag
-        return mat
+        mats = np.empty(u.shape[:-1] + (n * n,))
+        mats[...] = flat
+        mats[..., :: n + 1] += diag
+        return mats.reshape(u.shape + (n,))
 
     return fun, jac
 
@@ -265,17 +247,20 @@ def _kernels(
 def _energy_kernel(spec: ProblemSpec, g: WeightedGraph) -> Callable[[np.ndarray], float]:
     """Unchecked ``energy`` callable; like ``_kernels`` it checks the spec once, here."""
     _check_spec_alignment(spec, g)
-    A, B, mu, h1_a, h2_b = spec.A, spec.B, g.mu, spec.h1 / spec.A, spec.h2 / spec.B
+    A, B, h1, h2, mu, cap = spec.A, spec.B, spec.h1, spec.h2, g.mu, _pointwise(spec)[2]
     tail, head, weight = g.edge_tail, g.edge_head, g.edge_weight
+    with np.errstate(over="ignore"):
+        h1_a, h2_b = h1 / A, h2 / B
+    # a tiny exponent overflows the quotients; then the terms, which stay in range, are divided
+    tiny = not (np.isfinite(h1_a).all() and np.isfinite(h2_b).all())
 
     def energy_of(u: np.ndarray) -> float:
         # range guard; the squares below double exponents
-        au, bu = _exponents(A, B, EXP_CAP_GENERALIZED, u)
-        up, dn = np.expm1(au), np.expm1(bu)
+        up, dn = map(np.expm1, _exponents(A, B, cap, u))
         # integral of |grad u|^2 d(mu) collapses to a plain edge sum
         diff = u[head] - u[tail]
-        pointwise = h1_a * up * up - h2_b * dn * dn
-        return 0.5 * (float(np.dot(weight, diff * diff)) + float(np.dot(mu, pointwise)))
+        density = (h1 * up) * (up / A) - (h2 * dn) * (dn / B) if tiny else h1_a * up * up - h2_b * dn * dn
+        return 0.5 * (float(np.dot(weight, diff * diff)) + float(np.dot(mu, density)))
 
     return energy_of
 

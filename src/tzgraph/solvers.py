@@ -71,7 +71,7 @@ _BARRIER_SEARCH_STEPS = 60
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver knobs; the defaults match the CLI defaults."""
+    """Shared solver knobs; the CLI reads its defaults from here."""
 
     tol: float = 1e-10
     max_iter: int = 200
@@ -325,10 +325,11 @@ def _newton_block(
     escape_radius: float,
     lanes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep screen of a ``(k, n)`` queue of starts for deflated Newton, on block kernels.
+    """Lockstep screen of a ``(k, n)`` queue of starts for deflated Newton.
 
     Row ``i`` makes, bit for bit, the run ``_newton_system`` makes from ``starts[i]`` on
-    ``_deflated_system(..., known)`` with ``true_fun`` and ``escape_radius``.  A row passes if
+    ``_deflated_system(..., known)`` with ``true_fun`` and ``escape_radius``; ``fun`` and
+    ``jac_fun`` take the whole block, and a row they return non-finite fails.  A row passes if
     its run ends with the undeflated residual below ``cfg.tol``.  At most ``lanes`` rows step
     at once: the first ones, in order, still running, so a row starts when one before it ends.
     The root of the first row that passes would deflate the rows after it, so they stop:

@@ -999,7 +999,6 @@ def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newto
     time, so a test can count them on both enumerators alike.
     """
     fun, jac_fun = degree._kernels(spec, g, hp)
-    block_fun, block_jac = degree._kernels(spec, g, hp, block=True)
     dim = g.n
     starts = [np.zeros(dim)]
     if n_starts > 1:
@@ -1044,7 +1043,7 @@ def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newto
         nonlocal runs
         pending = np.array(starts)
         while len(pending):
-            passed = block(block_fun, block_jac, pending, run_cfg, roots, escape)[2]
+            passed = block(fun, jac_fun, pending, run_cfg, roots, escape)[2]
             runs += len(passed)
             if passed[-1]:
                 certify(pending[len(passed) - 1])

@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -566,6 +565,64 @@ def test_jacobian_fd_fails_a_jacobian_with_one_entry_off(tmp_path, capsys, monke
     assert code == 3 and "jacobian_fd" in failed
 
 
+@pytest.mark.parametrize(
+    "equation,lines,last",
+    [
+        ("classic", "vertex a 1 1 1\nvertex b 2 0.5 2\nedge a b 1\n", "integral_obstruction"),
+        ("generalized", K2_GENERALIZED_LINES, "energy_gradient_fd"),
+    ],
+)
+def test_an_audit_fails_on_a_residual_it_cannot_evaluate(tmp_path, monkeypatch, equation, lines, last):
+    # a NaN residual on one field fails the audit that drew it, and only that one: the first
+    # residual call is jacobian_fd's, the last one the obstruction's or the energy gradient's
+    g, h1, h2 = parse_graph(write(tmp_path, lines)).to_graph()
+    spec = tzgraph.ProblemSpec(equation, h1, h2, 1.0, 1.0)
+    kernels, calls = cli._kernels, []
+
+    def failed_with_nan_at(call):
+        def kernels_nan_at_one_call(spec, g):
+            fun, jac = kernels(spec, g)
+
+            def fun_nan_once(u):
+                calls.append(u)
+                return fun(u) * (math.nan if len(calls) == call else 1.0)
+
+            return fun_nan_once, jac
+
+        calls.clear()
+        monkeypatch.setattr(cli, "_kernels", kernels_nan_at_one_call)
+        records = cli._field_audits(spec, g, np.random.default_rng(0))
+        assert last in [name for name, _, _ in records]
+        return [(name, detail) for name, passed, detail in records if not passed]
+
+    assert failed_with_nan_at(0) == []  # no call is call 0
+    total = len(calls)
+    assert failed_with_nan_at(1) == [("jacobian_fd", "worst relative error nan")]
+    assert [name for name, _ in failed_with_nan_at(total)] == [last]
+
+
+def test_the_graph_audits_fail_where_the_graph_terms_overflow(tmp_path):
+    # w / mu = 1e600 overflows, so the Laplacian of every field is NaN; a subprocess, since the
+    # overflow warnings still leak
+    path = write(tmp_path, "vertex a 1e-300 1 -1\nvertex b 1e-300 0.5 -2\nedge a b 1e300\n")
+    result = _run_module("check", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp")
+    checks = {c["name"]: c for c in json.loads(result.stdout)["result"]["checks"]}
+    assert result.returncode == 3
+    assert checks["divergence_identity"]["detail"] == "worst ratio nan"
+    assert checks["integration_by_parts"]["detail"] == "worst relative gap nan"
+    assert checks["elliptic_estimate"]["detail"] == "50 violations over 50 fields"
+    assert not any(checks[name]["passed"] for name in ("divergence_identity", "integration_by_parts", "elliptic_estimate"))
+
+
+def test_the_parser_reads_its_defaults_from_the_library():
+    args = build_parser().parse_args(["check", "g.graph", "--equation", "classic", "--A", "1", "--B", "1"])
+    assert (args.tol, args.max_iter, args.seed) == (SolverConfig.tol, SolverConfig.max_iter, SolverConfig.seed)
+    assert SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed) == SolverConfig()
+    assert args.starts == degree.N_STARTS
+    for search in (estimate_degree, degree.verify_homotopy_invariance):
+        assert inspect.signature(search).parameters["n_starts"].default == degree.N_STARTS
+
+
 @pytest.mark.parametrize("A", [3000.0, 1000.0], ids=["jacobian_fd", "integral_obstruction"])
 def test_a_field_the_exponent_guard_rejects_raises_as_in_the_per_field_loops(tmp_path, capsys, A):
     path = write(tmp_path, "vertex a 1 1 1\nvertex b 2 0.5 2\nedge a b 1\n")
@@ -724,19 +781,19 @@ def test_check_on_one_vertex_audits_the_extreme_ratios_with_the_scan(tmp_path, c
     assert checks["degree_value"]["passed"] and checks["homotopy_invariance"]["passed"]
 
 
-# each file, its flags, the exit codes of solve, multiplicity and check, and the commands whose
-# energy overflows in h1 / A: the classic root lies past the largest float, so solve and the
-# audit's continuation fail; multiplicity takes only the generalized kind, and on the last file
-# its barrier search does not end; the audit has no ball to count zeros in
+# each file, its flags, and the exit codes of solve, multiplicity and check: the classic root
+# lies past the largest float, so solve and the audit's continuation fail; multiplicity takes
+# only the generalized kind, and on the last file its barrier search does not end; the audit has
+# no ball to count zeros in
 BOX_PAST_THE_FLOAT_RANGE = [
-    ("vertex o 1 1 1\n", ["--equation", "generalized", "--A", "1e-310", "--B", "1"], (0, 0, 3), {"multiplicity", "check"}),
-    ("vertex o 1 1 -2\n", ["--equation", "classic", "--A", "1e-310", "--B", "1e-310"], (3, 2, 3), set()),
-    ("vertex o 1 1e-300 1e300\n", ["--equation", "generalized", "--A", "1e-307", "--B", "1"], (0, 2, 3), set()),
+    ("vertex o 1 1 1\n", ["--equation", "generalized", "--A", "1e-310", "--B", "1"], (0, 0, 3)),
+    ("vertex o 1 1 -2\n", ["--equation", "classic", "--A", "1e-310", "--B", "1e-310"], (3, 2, 3)),
+    ("vertex o 1 1e-300 1e300\n", ["--equation", "generalized", "--A", "1e-307", "--B", "1"], (0, 2, 3)),
 ]
 
 
-@pytest.mark.parametrize("lines,flags,codes,overflows", BOX_PAST_THE_FLOAT_RANGE)
-def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, lines, flags, codes, overflows):
+@pytest.mark.parametrize("lines,flags,codes", BOX_PAST_THE_FLOAT_RANGE)
+def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, lines, flags, codes):
     path = write(tmp_path, lines)
     code, _, err = run(capsys, ["bounds", path, *flags, "--no-timestamp"])
     assert code == 2 and err.startswith("error: validation: the a priori box ") and err.count("\n") == 1
@@ -745,10 +802,7 @@ def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, line
     assert code == 2 and err.count("\n") == 1 and err.endswith("supply a radius explicitly\n")
     # the others run without a box; the audit runs the checks of its kind and fails the degree's
     for command, want in zip(("solve", "multiplicity", "check"), codes):
-        with warnings.catch_warnings():
-            if command in overflows:  # the leak that the strict xfail below pins
-                warnings.filterwarnings("ignore", "overflow encountered in divide", RuntimeWarning)
-            code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
+        code, out, err = run(capsys, [command, path, *flags, "--no-timestamp"])
         assert code == want and err.count("\n") == (code != 0)
         assert err.startswith("error: ") if code else json.loads(out)["box"] is None
         if command == "check" and out:
@@ -775,10 +829,6 @@ def test_exponents_too_large_for_the_coefficients_are_a_validation_error(tmp_pat
         assert err.startswith("error: validation: exponents ") and "must be finite" in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="model._energy_kernel divides h1 by a tiny A and overflows to inf, with a RuntimeWarning",
-)
 @pytest.mark.parametrize(
     "command,lines,A,code",
     [

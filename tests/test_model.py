@@ -1,5 +1,7 @@
 """Residual maps, deformations, Jacobians, and the energy functional."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from tzgraph import (
     residual,
     residual_homotopy,
 )
+from tzgraph import cli, degree, estimates, graphs, linalg, model, solvers
 from tzgraph.errors import AlignmentError
 from tzgraph.model import _classic_member, _kernels
 
@@ -369,6 +372,67 @@ def test_kernels_keep_the_exponent_guard():
     for call in (fun, jac):
         with pytest.raises(ExponentOverflowError):
             call(np.array([0.0, -400.0]))
+
+
+@pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
+def test_a_block_through_the_kernels_has_the_bits_of_its_fields(kind):
+    # one residual and one Jacobian take a field or a (k, n) block: row 3 is past the cap, so it
+    # comes back non-finite while the other rows keep their bits, and alone it raises as ever
+    rng = np.random.default_rng(107 if kind is Kind.CLASSIC else 113)
+    make_spec = helpers.classic_spec if kind is Kind.CLASSIC else helpers.generalized_spec
+    cap = model.EXP_CAP_CLASSIC if kind is Kind.CLASSIC else model.EXP_CAP_GENERALIZED
+    for trial in range(20):
+        n = int(rng.integers(1, 9))
+        g = helpers.random_graph(rng, n)
+        spec = make_spec(rng, n)
+        block = rng.normal(0.0, 0.7, (5, n))
+        block[3, rng.integers(n)] = 1.01 * cap / spec.A if trial % 2 else -1.01 * cap / spec.B
+        peak = max(float(np.max(spec.A * block[3])), float(np.max(-spec.B * block[3])))
+        message = f"exponent {peak:.3g} exceeds the cap {cap:.0f}; the iterate has left the trusted range"
+        for hp in _deformations(spec):
+            fun, jac = _kernels(spec, g, hp)
+            with np.errstate(invalid="ignore"):
+                values, mats = fun(block), jac(block)
+            assert values.shape == (5, n) and mats.shape == (5, n, n)
+            for row, u in enumerate(block):
+                if row == 3:
+                    assert not np.isfinite(values[row]).all() and not np.isfinite(mats[row]).all()
+                    for call in (fun, jac):
+                        with pytest.raises(ExponentOverflowError) as raised:
+                            call(u)
+                        assert str(raised.value) == message
+                else:
+                    assert values[row].tobytes() == fun(u).tobytes()
+                    assert mats[row].tobytes() == jac(u).tobytes()
+
+
+def _cap_uses(source: str) -> set[tuple[str, str]]:
+    """``("reads", f)`` where the top-level definition ``f`` reads an ``EXP_CAP_*`` constant, and
+    ``("compares", f)`` where it compares a name ``cap`` or an ``EXP_CAP_*`` constant."""
+    uses = set()
+    for statement in ast.parse(source).body:
+        name = getattr(statement, "name", "<module>")
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("EXP_CAP"):
+                uses.add(("reads", name))
+            if isinstance(node, ast.Compare):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+                if any(n == "cap" or n.startswith("EXP_CAP") for n in names):
+                    uses.add(("compares", name))
+    return uses
+
+
+def test_the_exponent_cap_has_one_reader_and_one_comparison():
+    # the detector sees the spellings of a cap check
+    assert _cap_uses("def f(u):\n    return np.max(u) > EXP_CAP_CLASSIC\n") == {("reads", "f"), ("compares", "f")}
+    assert _cap_uses("def g(u, cap):\n    if cap < float(u.max()): pass\n") == {("compares", "g")}
+    for module in (cli, degree, estimates, graphs, linalg, solvers):
+        assert _cap_uses(inspect.getsource(module)) == set(), module.__name__
+    assert _cap_uses(inspect.getsource(model)) == {("reads", "_pointwise"), ("compares", "_exponents")}
+    # one residual and one Jacobian closure, for a field and a block alike
+    assert "block" not in inspect.signature(_kernels).parameters
+    closures = [n.name for n in ast.walk(ast.parse(inspect.getsource(_kernels))) if isinstance(n, ast.FunctionDef)]
+    assert closures == ["_kernels", "fun", "jac"]
 
 
 def test_a_classic_member_is_the_classic_equation_with_its_coefficients():

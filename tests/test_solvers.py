@@ -423,7 +423,7 @@ def _screen_against_runs(fun, jac, block_fun, block_jac, starts, known, cfg, esc
 
 
 def _screen_case(spec, g, starts, known, cfg=CFG, escape=20.0):
-    return _screen_against_runs(*_kernels(spec, g), *_kernels(spec, g, block=True), starts, known, cfg, escape)
+    return _screen_against_runs(*_kernels(spec, g), *_kernels(spec, g), starts, known, cfg, escape)
 
 
 def test_block_screen_follows_every_run_bit_for_bit():
@@ -488,13 +488,13 @@ def test_block_screen_follows_runs_through_constructed_exits():
             raise
 
     starts = [np.full(3, -math.log(3.0) / 4.0 + 1e-9), np.full(3, 0.5), np.full(3, -3.0)]
-    _screen_against_runs(guarded, jac, *_kernels(spec, g, block=True), starts, [], CFG, 20.0)
+    _screen_against_runs(guarded, jac, *_kernels(spec, g), starts, [], CFG, 20.0)
     assert capped
 
     # an exactly singular Jacobian next to regular ones: the stacked inverse
     # fails as a whole and falls back to one matrix at a time
     spec = constant_spec(Kind.CLASSIC, 2, 1.0, 1.0)
-    block_fun, block_jac = _kernels(spec, helpers.k2(), block=True)
+    block_fun, block_jac = _kernels(spec, helpers.k2())
     starts = [np.full(2, 0.3), np.zeros(2), np.array([0.2, -0.1])]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(block_jac(np.array(starts)))

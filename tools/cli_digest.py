@@ -7,7 +7,8 @@ n = 1, 2 and 3 and, under both kinds, on fixed files where h2 is zero,
 -0.0, of mixed sign or at the ends of the float range, which no generated
 family reaches; then ``check`` once more on each family at n = 1 and 2 for
 each of the ``--seed`` values in ``CHECK_SEEDS`` (every other command runs
-at the default seed 0); in-process and with BLAS pinned to one thread.  Each
+at the default seed 0); last, all five commands under both kinds on the
+fixed files of ``EXTREMES``; in-process and with BLAS pinned to one thread.  Each
 command's exit code, standard output, standard error and captured warnings
 go into the digest, in a fixed order.  Instance files are written to a
 temporary directory and named by relative paths, so two checkouts print
@@ -51,6 +52,15 @@ BOUNDARY_VERTEX = (
     ("1", "0"), ("1e-300", "-1e300"), ("1e300", "-1e-300"), ("1e-300", "1e300"), ("1e300", "1e-300"),
 )
 
+# vertex count, file and A (B = 1): exponents so tiny that h1 / A overflows, a graph whose
+# w / mu overflows, and terms that overflow inside the exponent cap
+EXTREMES = (
+    (1, "vertex o 1 1e10 1e20\n", 1e-300),
+    (1, "vertex o 1 1 1\n", 1e-310),
+    (2, "vertex a 1e-300 1 -1\nvertex b 1e-300 0.5 -2\nedge a b 1e300\n", 1.0),
+    (2, "vertex a 1 1e300 -1\nvertex b 2 1e300 -2\nedge a b 1\n", 500.0),
+)
+
 
 def boundary_instances() -> list:
     """The fixed sign-boundary files under both kinds, with A = B = 1; both kinds of a file share its name."""
@@ -62,6 +72,17 @@ def boundary_instances() -> list:
         Instance("boundary", n, index, equation, 1.0, 1.0, text)
         for equation in ("classic", "generalized")
         for index, (n, text) in enumerate(texts)
+    ]
+
+
+def extreme_instances() -> list:
+    """The files of ``EXTREMES`` under both kinds; both kinds of a file share its name."""
+    from gen import Instance
+
+    return [
+        Instance("extreme", n, index, equation, A, 1.0, text)
+        for equation in ("classic", "generalized")
+        for index, (n, text, A) in enumerate(EXTREMES)
     ]
 
 
@@ -84,12 +105,13 @@ def commands(seeds: list[int]) -> list:
             seen.add(cmd)
             distinct.append((f"s{seed}-{cmd.instance.name}", cmd, ()))
     distinct += [(inst.name, Command(kind, inst), ()) for inst in boundary_instances() for kind in KINDS]
-    return distinct + [
+    distinct += [
         (f"s{seed}-{inst.name}", Command("check", inst), ("--seed", str(check_seed)))
         for seed in seeds
         for inst in (make_instance(family, n, seed) for family in FAMILIES for n in SMALL_SIZES[:2])
         for check_seed in CHECK_SEEDS
     ]
+    return distinct + [(inst.name, Command(kind, inst), ()) for inst in extreme_instances() for kind in KINDS]
 
 
 def run(argv: list[str]) -> list:
