@@ -329,13 +329,15 @@ def _central_difference(fun, u: np.ndarray) -> np.ndarray:
     return np.array([(fun(u + bump) - fun(u - bump)) / (2 * _FD_STEP) for bump in bumps])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _field_audits(spec: ProblemSpec, g: WeightedGraph, rng: np.random.Generator) -> list[tuple]:
     """``(name, passed, detail)`` of the audits on random fields, in report order.
 
     Each audit draws its fields as one ``(k, n)`` block, the same numbers as k
     draws of one field, and every row keeps the bits of a field evaluated alone.
-    The residual, Jacobian and energy kernels are bound once; a field that the
-    exponent guard rejects raises.
+    The residual, Jacobian and energy kernels are bound once; a field whose
+    terms leave the float range gets values that are not finite, and the
+    audit that drew it fails on them.
     """
     n, mu = g.n, g.mu
     fun, jac = _kernels(spec, g)

@@ -30,7 +30,6 @@ from . import linalg
 from .errors import (
     BoundsInapplicableError,
     DegenerateRootError,
-    ExponentOverflowError,
     SpecValidationError,
 )
 from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, _obstructed
@@ -159,7 +158,7 @@ def _enumerate_signed_roots(
         try:
             jac = np.asarray(jac_fun(center), dtype=float)
             eigenvalues, eigenvectors = np.linalg.eig(jac)
-        except (ExponentOverflowError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return None
         vector = np.real(eigenvectors[:, int(np.argmin(np.abs(eigenvalues)))])
         peak = float(np.maximum.reduce(np.abs(vector)))
@@ -329,7 +328,7 @@ def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None) -> tuple[list, l
     simple zero, and the sign of the term's slope is the zero's degree contribution.
     """
     box = _apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
-    pointwise, slope, _ = _pointwise(spec, hp)
+    pointwise, slope = _pointwise(spec, hp)
 
     def term(c: np.ndarray) -> np.ndarray:
         return pointwise(spec.A * c, -spec.B * c)

@@ -68,7 +68,7 @@ class HomotopyInfeasibleError(InputError):
 
 
 class ExponentOverflowError(NumericalError, OverflowError):
-    """An exponent exceeded the configured range cap."""
+    """A public residual, Jacobian or energy is not finite: a term left the float range."""
 
 
 class SolveFailedError(NumericalError):

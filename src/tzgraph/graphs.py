@@ -58,7 +58,7 @@ class WeightedGraph:
     ------
     GraphConstructionError
         On empty/duplicate vertices, nonpositive data, self-loops,
-        duplicate edges, or unknown endpoints.
+        duplicate edges, unknown endpoints, or a Laplacian past the float range.
     DisconnectedGraphError
         When the edge set does not connect all vertices; the error names
         two mutually unreachable labels.
@@ -97,6 +97,12 @@ class WeightedGraph:
                     "weight": f"edge {a!r}-{b!r} has nonpositive weight",
                 }[fault[1]])
         tails, heads, weight = _checked_edges
+        # every rate is positive, so the Laplacian's diagonal is finite exactly when its rates are
+        with np.errstate(over="ignore"):
+            diagonal = np.bincount(*_edge_rates(mu_arr, tails, heads, weight), len(ids))
+        if not np.isfinite(diagonal).all():
+            label = ids[int(np.argmin(np.isfinite(diagonal)))]
+            raise GraphConstructionError(f"the edge weights over the measure of vertex {label!r} leave the float range")
 
         self.vertex_ids = ids
         self.mu = mu_arr
@@ -248,15 +254,19 @@ def _laplacian_rows(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
     return out / g.mu
 
 
+def _edge_rates(mu: np.ndarray, tails: np.ndarray, heads: np.ndarray, weight: np.ndarray):
+    """Each edge's tail and head, and its ``w / mu`` at each: the tail's before the head's, in edge order."""
+    ends = np.stack((tails, heads), axis=1).ravel()
+    return ends, np.stack((weight / mu[tails], weight / mu[heads]), axis=1).ravel()
+
+
 def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
     """Dense matrix L with L @ u == laplacian(g, u)."""
-    i, j = g.edge_tail, g.edge_head
-    to_i, to_j = g.edge_weight / g.mu[i], g.edge_weight / g.mu[j]
+    ends, rates = _edge_rates(g.mu, g.edge_tail, g.edge_head, g.edge_weight)
     mat = np.zeros((g.n, g.n))
-    mat[i, j], mat[j, i] = to_i, to_j  # each unordered pair is one edge
-    # bincount sums each vertex's terms in edge order, i's before j's within an edge
-    ends = np.stack((i, j), axis=1).ravel()
-    mat.flat[:: g.n + 1] -= np.bincount(ends, np.stack((to_i, to_j), axis=1).ravel(), g.n)
+    mat[ends, ends.reshape(-1, 2)[:, ::-1].ravel()] = rates  # each unordered pair is one edge
+    # bincount sums each vertex's terms in edge order, the tail's before the head's within an edge
+    mat.flat[:: g.n + 1] -= np.bincount(ends, rates, g.n)
     return mat
 
 

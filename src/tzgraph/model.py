@@ -22,15 +22,16 @@ has the generalized residual as its gradient in the mu-weighted inner
 product, which is why ``energy_gradient`` and ``residual`` share one code
 path.
 
-The pointwise term of both kinds, its derivative and its exponent cap live
-in one place, ``_pointwise``; everything else that evaluates the term (the
-kernels below, the barrier crossings of ``solvers`` and the scalar scan of
-``degree``) builds on it.  The four residual and Jacobian functions
-validate their inputs, then run one kernel with the deformation as a
-parameter (``_kernels``); ``energy`` does the same with ``_energy_kernel``.
-Solvers validate once per entry point and iterate on the kernels' unchecked
-callables, which keep only the exponent guard.  The same callables take a
-``(k, n)`` block of fields at once, with the guard applied per field.
+The pointwise term of both kinds and its derivative live in one place,
+``_pointwise``; everything else that evaluates the term (the kernels below,
+the barrier crossings of ``solvers`` and the scalar scan of ``degree``)
+builds on it.  The four residual and Jacobian functions validate their
+inputs, then run one kernel with the deformation as a parameter
+(``_kernels``); ``energy`` does the same with ``_energy_kernel``.  Solvers
+validate once per entry point and iterate on the kernels' unchecked
+callables, which take a field or a ``(k, n)`` block of fields at once.  The
+float range is the one exponent guard: a term past it is not finite, which
+the public functions raise on and the solvers and audits test for.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ __all__ = [
     "energy_gradient",
     "default_epsilon",
 ]
-
-# exp() overflows just above 709; the squared-exponential terms of the
-# generalized kind halve the usable range
-EXP_CAP_CLASSIC = 700.0
-EXP_CAP_GENERALIZED = 350.0
-
 
 class Kind(str, enum.Enum):
     CLASSIC = "classic"
@@ -163,27 +158,13 @@ def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
         )
 
 
-def _exponents(A: float, B: float, cap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A u`` and ``-B u``, with a range guard instead of silent infinities later: a field
-    past the cap raises, and a row of a ``(k, n)`` block past it gets infinite exponents."""
-    au, bu = A * u, -B * u
-    peak = np.maximum.reduce(np.maximum(au, bu), axis=-1)
-    if u.ndim > 1:
-        au[peak > cap] = bu[peak > cap] = math.inf
-    elif peak > cap:
-        raise ExponentOverflowError(
-            f"exponent {peak:.3g} exceeds the cap {cap:.0f}; the iterate has left the trusted range"
-        )
-    return au, bu
-
-
-def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Callable, Callable, float]:
-    """The pointwise term of the deformation ``hp``, its derivative, and the exponent cap.
+def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Callable, Callable]:
+    """The pointwise term of the deformation ``hp`` and its derivative.
 
     The two callables take ``A u`` and ``-B u`` and broadcast against the
     coefficient fields, so one call evaluates every vertex, or many points of
-    a one-vertex spec.  Neither applies the cap.  A classic ``hp`` needs
-    ``h2 < 0`` everywhere (``default_epsilon``).
+    a one-vertex spec; past the float range they return an infinity or a
+    NaN.  A classic ``hp`` needs ``h2 < 0`` everywhere (``default_epsilon``).
     """
     A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
     if spec.kind is Kind.CLASSIC:
@@ -196,7 +177,7 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
         def slope(au, bu):
             return a_c1 * np.exp(au) - b_c2 * np.exp(bu)
 
-        return pointwise, slope, EXP_CAP_CLASSIC
+        return pointwise, slope
 
     t = 1.0 if hp is None else hp.t
     shift, h1_a, h2_b = 1.0 - t, h1 * A, h2 * B
@@ -210,7 +191,7 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
         e_up, e_dn = np.exp(au), np.exp(bu)
         return h1_a * e_up * (2.0 * e_up - t) + h2_b * e_dn * (t - 2.0 * e_dn)
 
-    return pointwise, slope, EXP_CAP_GENERALIZED
+    return pointwise, slope
 
 
 def _kernels(
@@ -221,21 +202,21 @@ def _kernels(
     ``hp=None`` is the equation itself: t = 0 for the classic kind, t = 1
     for the generalized kind.  The spec, the graph and the deformation are checked
     once, here; the callables trust their argument to be a finite field on
-    ``g``, or a ``(k, n)`` block of them, each row with the bits of one field, and
-    keep only the exponent guard of ``_exponents``.
+    ``g``, or a ``(k, n)`` block of them, each row with the bits of one field.
+    A field whose terms leave the float range gets a value that is not finite.
     """
     _check_spec_alignment(spec, g)
-    pointwise, slope, cap = _pointwise(spec, hp)
+    pointwise, slope = _pointwise(spec, hp)
     A, B, n = spec.A, spec.B, g.n
     neg_lap = g.neg_laplacian()
     flat = neg_lap.ravel()
 
     def fun(u: np.ndarray) -> np.ndarray:
-        nonlinear = pointwise(*_exponents(A, B, cap, u))
+        nonlinear = pointwise(A * u, -B * u)
         return (neg_lap @ u[..., None])[..., 0] + nonlinear
 
     def jac(u: np.ndarray) -> np.ndarray:
-        diag = slope(*_exponents(A, B, cap, u))
+        diag = slope(A * u, -B * u)
         mats = np.empty(u.shape[:-1] + (n * n,))
         mats[...] = flat
         mats[..., :: n + 1] += diag
@@ -247,7 +228,7 @@ def _kernels(
 def _energy_kernel(spec: ProblemSpec, g: WeightedGraph) -> Callable[[np.ndarray], float]:
     """Unchecked ``energy`` callable; like ``_kernels`` it checks the spec once, here."""
     _check_spec_alignment(spec, g)
-    A, B, h1, h2, mu, cap = spec.A, spec.B, spec.h1, spec.h2, g.mu, _pointwise(spec)[2]
+    A, B, h1, h2, mu = spec.A, spec.B, spec.h1, spec.h2, g.mu
     tail, head, weight = g.edge_tail, g.edge_head, g.edge_weight
     with np.errstate(over="ignore"):
         h1_a, h2_b = h1 / A, h2 / B
@@ -255,8 +236,7 @@ def _energy_kernel(spec: ProblemSpec, g: WeightedGraph) -> Callable[[np.ndarray]
     tiny = not (np.isfinite(h1_a).all() and np.isfinite(h2_b).all())
 
     def energy_of(u: np.ndarray) -> float:
-        # range guard; the squares below double exponents
-        up, dn = map(np.expm1, _exponents(A, B, cap, u))
+        up, dn = np.expm1(A * u), np.expm1(-B * u)
         # integral of |grad u|^2 d(mu) collapses to a plain edge sum
         diff = u[head] - u[tail]
         density = (h1 * up) * (up / A) - (h2 * dn) * (dn / B) if tiny else h1_a * up * up - h2_b * dn * dn
@@ -265,9 +245,18 @@ def _energy_kernel(spec: ProblemSpec, g: WeightedGraph) -> Callable[[np.ndarray]
     return energy_of
 
 
+def _in_range(kernel: Callable, g: WeightedGraph, u):
+    """``kernel`` at the checked field ``u``, which must be a finite float wherever it is evaluated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = kernel(as_field(g, u))
+    if not np.isfinite(value).all():
+        raise ExponentOverflowError("a term left the float range at this field; the value is not finite")
+    return value
+
+
 def residual(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     """Pointwise residual of the equation at u (zero exactly at solutions)."""
-    return _kernels(spec, g)[0](as_field(g, u))
+    return _in_range(_kernels(spec, g)[0], g, u)
 
 
 def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
@@ -278,17 +267,17 @@ def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams
     default_epsilon(spec)``.  Generalized: inner factors ``e^{A u} - t`` and
     ``e^{-B u} - t`` (reduces to ``residual`` at t = 1).
     """
-    return _kernels(spec, g, hp)[0](as_field(g, u))
+    return _in_range(_kernels(spec, g, hp)[0], g, u)
 
 
 def jacobian(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     """Derivative of the residual: ``-laplacian`` plus a pointwise diagonal."""
-    return _kernels(spec, g)[1](as_field(g, u))
+    return _in_range(_kernels(spec, g)[1], g, u)
 
 
 def jacobian_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
     """Derivative of the deformed residual at parameter ``hp.t``."""
-    return _kernels(spec, g, hp)[1](as_field(g, u))
+    return _in_range(_kernels(spec, g, hp)[1], g, u)
 
 
 def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:
@@ -303,7 +292,7 @@ def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:
     """
     if spec.kind is not Kind.GENERALIZED:
         raise SpecValidationError("the energy functional is defined for the generalized kind only")
-    return _energy_kernel(spec, g)(as_field(g, u))
+    return _in_range(_energy_kernel(spec, g), g, u)
 
 
 def energy_gradient(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:

@@ -22,7 +22,6 @@ from . import linalg
 from .errors import (
     BarrierInapplicableError,
     ContinuationBrokenError,
-    ExponentOverflowError,
     InteriorViolationError,
     MultiplicityFailureError,
     SolveFailedError,
@@ -36,7 +35,6 @@ from .model import (
     ProblemSpec,
     _check_spec_alignment,
     _energy_kernel,
-    _exponents,
     _kernels,
     _pointwise,
     energy,
@@ -141,13 +139,8 @@ def _freeze(u: np.ndarray) -> np.ndarray:
 
 
 def _safe_eval(fun: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray | None:
-    try:
-        value = fun(u)
-    except ExponentOverflowError:
-        return None
-    if not np.isfinite(value).all():
-        return None
-    return value
+    value = fun(u)
+    return value if np.isfinite(value).all() else None
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,10 +246,7 @@ def _newton_system(
             phi0 = float(np.dot(scale * r, scale * r))
             for alpha in _step_lengths(prev_alpha):
                 trial = u + alpha * step
-                try:
-                    r_trial = fun(trial)
-                except ExponentOverflowError:
-                    continue
+                r_trial = fun(trial)
                 scaled = scale * r_trial
                 if float(np.dot(scaled, scaled)) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0:
                     u, r, prev_alpha = trial, r_trial, alpha
@@ -304,7 +294,7 @@ def _deflated_system(
         return fun, jac_fun, None
 
     def dfun(u: np.ndarray) -> np.ndarray:
-        value = fun(u)  # the exponent guard turns wild trials away first
+        value = fun(u)  # a wild trial's value is not finite, and its merit fails
         with np.errstate(divide="ignore"):
             factor = _deflation(u[None], np.array(known))[0][0]
         return factor * value if factor < math.inf else np.full_like(u, math.inf)
@@ -518,13 +508,14 @@ def _barrier_powers(spec: ProblemSpec, n: int, side: int) -> tuple[Callable, np.
     """The pointwise term, then per vertex its first ``side * 2**-k`` (k >= 1) where the
     term is negative and its first ``side * 2**k`` (k >= 0) where it is positive.
 
-    Every vertex is searched at once, 60 powers each way, under the kernels'
-    exponent guard.
+    Every vertex is searched at once, 60 powers each way; past the float range
+    the term reads an infinity of its sign.
     """
-    pointwise, _, cap = _pointwise(spec)
+    pointwise = _pointwise(spec)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def term(c: np.ndarray) -> np.ndarray:
-        return pointwise(*_exponents(spec.A, spec.B, cap, c))
+        return pointwise(spec.A * c, -spec.B * c)
 
     def search(first: float, factor: float, sign: float) -> np.ndarray:
         s = np.full(n, first)
@@ -589,6 +580,7 @@ def choose_barriers(spec: ProblemSpec, g: WeightedGraph) -> BarrierPair:
     return BarrierPair(delta, beta, side=-1, crossings=crossings)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_constant_root(
     fun: Callable[[np.ndarray], np.ndarray], g: WeightedGraph, lo: float, hi: float
 ) -> float:
@@ -603,6 +595,7 @@ def _mean_constant_root(
     return float(_bisect(mean, lo, hi, f_lo))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_box(
     spec: ProblemSpec,
     g: WeightedGraph,
@@ -619,7 +612,8 @@ def minimize_box(
     box.  Convergence requires the *unconstrained* gradient below ``tol``
     at a strictly interior point: a projected-stationary iterate pinned to
     a wall raises :class:`InteriorViolationError` instead, since the
-    barrier construction promises an interior minimizer.
+    barrier construction promises an interior minimizer.  A trial energy
+    that is not finite fails the Armijo test, also -inf far out on u < 0.
     """
     if spec.kind is not Kind.GENERALIZED:
         raise SpecValidationError("box minimization applies to the generalized kind only")
@@ -657,12 +651,9 @@ def minimize_box(
             trial = np.clip(u - a * grad, lo, hi)
             direction = trial - u
             if np.any(direction):
-                try:
-                    j_trial = energy_of(trial)
-                except ExponentOverflowError:
-                    j_trial = math.inf  # fails the Armijo test
+                j_trial = energy_of(trial)
                 decrease = float(np.dot(mu * grad, direction))
-                if j_trial <= j_val + _ARMIJO * decrease + noise_floor * (1.0 + abs(j_val)):
+                if -math.inf < j_trial <= j_val + _ARMIJO * decrease + noise_floor * (1.0 + abs(j_val)):
                     break
             a *= _SHRINK
         else:

@@ -435,6 +435,24 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["command"] == "bounds"
 
 
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, K2_LINES)
+    out_path = tmp_path / "missing" / "report.json"
+    argv = ["bounds", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"]
+    code, out, err = run(capsys, [*argv, "--output", str(out_path)])
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: usage: cannot write output: ") and str(out_path) in err
+    assert not out_path.parent.exists()
+
+
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("vertex \xe9 1 1 -1\n".encode("latin-1"))
+    for command in COMMANDS:
+        argv = [command, str(path), "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp"]
+        assert run(capsys, argv) == (2, "", "error: validation: file is not valid UTF-8\n")
+
+
 def test_multiplicity_command(tmp_path, capsys):
     path = write(tmp_path, "vertex a 1 1 3\nvertex b 1 1 3\nedge a b 1.5\n")
     code, out, _ = run(
@@ -601,13 +619,21 @@ def test_an_audit_fails_on_a_residual_it_cannot_evaluate(tmp_path, monkeypatch, 
     assert [name for name, _ in failed_with_nan_at(total)] == [last]
 
 
-def test_the_graph_audits_fail_where_the_graph_terms_overflow(tmp_path):
-    # w / mu = 1e600 overflows, so the Laplacian of every field is NaN; a subprocess, since the
-    # overflow warnings still leak
+def test_the_graph_audits_fail_where_the_graph_terms_overflow(tmp_path, capsys, monkeypatch):
+    # w / mu = 1e600 overflows, so the file is a validation error under every command
     path = write(tmp_path, "vertex a 1e-300 1 -1\nvertex b 1e-300 0.5 -2\nedge a b 1e300\n")
-    result = _run_module("check", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp")
-    checks = {c["name"]: c for c in json.loads(result.stdout)["result"]["checks"]}
-    assert result.returncode == 3
+    for equation in ("classic", "generalized"):
+        for command in COMMANDS:
+            argv = [command, path, "--equation", equation, "--A", "1", "--B", "1", "--no-timestamp"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == "error: validation: the edge weights over the measure of vertex 'a' leave the float range\n"
+    # a graph audit whose Laplacian reads NaN fails
+    monkeypatch.setattr(cli, "_laplacian_rows", lambda g, u: np.full(u.shape, math.nan))
+    path = write(tmp_path, K2_GENERALIZED_LINES)
+    code, out, _ = run(capsys, ["check", path, "--equation", "generalized", "--A", "1", "--B", "1", "--no-timestamp"])
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert code == 3
     assert checks["divergence_identity"]["detail"] == "worst ratio nan"
     assert checks["integration_by_parts"]["detail"] == "worst relative gap nan"
     assert checks["elliptic_estimate"]["detail"] == "50 violations over 50 fields"
@@ -623,14 +649,27 @@ def test_the_parser_reads_its_defaults_from_the_library():
         assert inspect.signature(search).parameters["n_starts"].default == degree.N_STARTS
 
 
-@pytest.mark.parametrize("A", [3000.0, 1000.0], ids=["jacobian_fd", "integral_obstruction"])
-def test_a_field_the_exponent_guard_rejects_raises_as_in_the_per_field_loops(tmp_path, capsys, A):
+@pytest.mark.parametrize(
+    "A,code,name,detail",
+    [
+        (3000.0, 3, "jacobian_fd", "worst relative error nan"),
+        (1000.0, 0, "integral_obstruction", "smallest residual integral 5.291e+00"),
+    ],
+    ids=["jacobian_fd", "integral_obstruction"],
+)
+def test_a_field_the_exponent_guard_rejects_raises_as_in_the_per_field_loops(tmp_path, capsys, A, code, name, detail):
+    # the per-field loops raise through the public functions; check's audits read a field past the
+    # float range as values that are not finite: NaN fails jacobian_fd, and +inf in a residual
+    # integral has the sign the obstruction needs
     path = write(tmp_path, "vertex a 1 1 1\nvertex b 2 0.5 2\nedge a b 1\n")
     g, h1, h2 = parse_graph(path).to_graph()
-    with pytest.raises(tzgraph.ExponentOverflowError) as expected:
+    with pytest.raises(tzgraph.ExponentOverflowError):
         helpers.field_audits_oracle(tzgraph.ProblemSpec("classic", h1, h2, A, 1.0), g, 0)
     argv = ["check", path, "--equation", "classic", "--A", repr(A), "--B", "1", "--no-timestamp"]
-    assert run(capsys, argv) == (3, "", f"error: numerical: {expected.value}\n")
+    got, out, err = run(capsys, argv)
+    check = {c["name"]: c for c in json.loads(out)["result"]["checks"]}[name]
+    assert (got, err) == (code, "error: numerical: invariant checks failed: jacobian_fd\n" if code else "")
+    assert (check["passed"], check["detail"]) == (code == 0, detail)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])

@@ -284,6 +284,16 @@ def test_construction_rejects_bad_data():
         WeightedGraph(["a", "b"], [1.0, 1.0], [("a", "c", 1.0)])
 
 
+def test_a_laplacian_past_the_float_range_names_its_vertex():
+    # one rate w / mu past the float range, then finite rates whose sum at "c", the diagonal, is not
+    for mu, weights, label in (([1.0, 1e-300, 1.0], (1.0, 1e10), "b"), ([1.0, 1.0, 1.0], (1e308, 1e308), "c")):
+        with pytest.raises(GraphConstructionError, match=f"of vertex '{label}' leave the float range"):
+            WeightedGraph(["a", "b", "c"], mu, [("a", "c", weights[0]), ("b", "c", weights[1])])
+    # at the edge of the range the graph stands, and its matrix is finite
+    g = WeightedGraph(["a", "b", "c"], [1.0, 1.0, 1.0], [("a", "c", 8e307), ("b", "c", 8e307)])
+    assert np.isfinite(laplacian_matrix(g)).all()
+
+
 def test_disconnected_names_two_labels():
     with pytest.raises(DisconnectedGraphError) as info:
         WeightedGraph(["a", "b", "c", "d"], np.ones(4), [("a", "b", 1.0), ("c", "d", 1.0)])

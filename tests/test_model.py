@@ -363,72 +363,83 @@ def test_public_functions_still_validate():
 
 
 def test_kernels_keep_the_exponent_guard():
+    # the float range is the guard: past it a kernel's value is not finite
     g = helpers.k2()
     fun, jac = _kernels(constant_spec(Kind.CLASSIC, 2, 1.0, -1.0), g)
     for call in (fun, jac):
-        with pytest.raises(ExponentOverflowError):
-            call(np.array([800.0, 0.0]))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(call(np.array([800.0, 0.0]))).all()
     fun, jac = _kernels(constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0), g, HomotopyParams(0.5))
     for call in (fun, jac):
-        with pytest.raises(ExponentOverflowError):
-            call(np.array([0.0, -400.0]))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(call(np.array([0.0, -400.0]))).all()
 
 
 @pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
 def test_a_block_through_the_kernels_has_the_bits_of_its_fields(kind):
-    # one residual and one Jacobian take a field or a (k, n) block: row 3 is past the cap, so it
-    # comes back non-finite while the other rows keep their bits, and alone it raises as ever
+    # one residual and one Jacobian take a field or a (k, n) block: row 3 is past the float range,
+    # so it comes back non-finite while the other rows keep their bits, and alone the public
+    # functions raise on it
     rng = np.random.default_rng(107 if kind is Kind.CLASSIC else 113)
     make_spec = helpers.classic_spec if kind is Kind.CLASSIC else helpers.generalized_spec
-    cap = model.EXP_CAP_CLASSIC if kind is Kind.CLASSIC else model.EXP_CAP_GENERALIZED
+    top = math.log(np.finfo(float).max)  # e^top is the largest float
     for trial in range(20):
         n = int(rng.integers(1, 9))
         g = helpers.random_graph(rng, n)
         spec = make_spec(rng, n)
         block = rng.normal(0.0, 0.7, (5, n))
-        block[3, rng.integers(n)] = 1.01 * cap / spec.A if trial % 2 else -1.01 * cap / spec.B
-        peak = max(float(np.max(spec.A * block[3])), float(np.max(-spec.B * block[3])))
-        message = f"exponent {peak:.3g} exceeds the cap {cap:.0f}; the iterate has left the trusted range"
+        block[3, rng.integers(n)] = 1.01 * top / spec.A if trial % 2 else -1.01 * top / spec.B
         for hp in _deformations(spec):
             fun, jac = _kernels(spec, g, hp)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 values, mats = fun(block), jac(block)
             assert values.shape == (5, n) and mats.shape == (5, n, n)
+            if hp is None:
+                public = (lambda u: residual(spec, g, u), lambda u: jacobian(spec, g, u))
+            else:
+                public = (lambda u: residual_homotopy(spec, g, u, hp), lambda u: jacobian_homotopy(spec, g, u, hp))
             for row, u in enumerate(block):
                 if row == 3:
                     assert not np.isfinite(values[row]).all() and not np.isfinite(mats[row]).all()
-                    for call in (fun, jac):
-                        with pytest.raises(ExponentOverflowError) as raised:
+                    for call in public:
+                        with pytest.raises(ExponentOverflowError, match="left the float range"):
                             call(u)
-                        assert str(raised.value) == message
                 else:
                     assert values[row].tobytes() == fun(u).tobytes()
                     assert mats[row].tobytes() == jac(u).tobytes()
 
 
-def _cap_uses(source: str) -> set[tuple[str, str]]:
-    """``("reads", f)`` where the top-level definition ``f`` reads an ``EXP_CAP_*`` constant, and
-    ``("compares", f)`` where it compares a name ``cap`` or an ``EXP_CAP_*`` constant."""
+def _guard_uses(source: str) -> set[tuple[str, str]]:
+    """``("cap", f)`` where the top-level definition ``f`` names an ``EXP_CAP_*`` constant or
+    ``_exponents``, ``("catches", f)`` where it handles ``ExponentOverflowError``, and
+    ``("raises", f)`` where it raises it."""
     uses = set()
     for statement in ast.parse(source).body:
         name = getattr(statement, "name", "<module>")
         for node in ast.walk(statement):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id.startswith("EXP_CAP"):
-                uses.add(("reads", name))
-            if isinstance(node, ast.Compare):
-                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
-                if any(n == "cap" or n.startswith("EXP_CAP") for n in names):
-                    uses.add(("compares", name))
+            word = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(word, str) and (word.startswith("EXP_CAP") or word == "_exponents"):
+                uses.add(("cap", name))
+            # the exception a handler names or a raise raises
+            named = getattr(node, "type", None) if isinstance(node, ast.ExceptHandler) else getattr(node, "exc", None)
+            if isinstance(node, (ast.ExceptHandler, ast.Raise)) and named is not None:
+                words = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(named)}
+                if "ExponentOverflowError" in words:
+                    uses.add(("catches" if isinstance(node, ast.ExceptHandler) else "raises", name))
     return uses
 
 
-def test_the_exponent_cap_has_one_reader_and_one_comparison():
-    # the detector sees the spellings of a cap check
-    assert _cap_uses("def f(u):\n    return np.max(u) > EXP_CAP_CLASSIC\n") == {("reads", "f"), ("compares", "f")}
-    assert _cap_uses("def g(u, cap):\n    if cap < float(u.max()): pass\n") == {("compares", "g")}
+def test_the_float_range_is_the_one_exponent_guard():
+    # the detector sees the spellings of a cap, a handler and a raise
+    assert _guard_uses("def f(u):\n    return np.max(u) > model.EXP_CAP_CLASSIC\n") == {("cap", "f")}
+    assert _guard_uses("def _exponents(u):\n    pass\n") == {("cap", "_exponents")}
+    handler = "def g(u):\n    try:\n        f(u)\n    except (errors.ExponentOverflowError, KeyError):\n        pass\n"
+    assert _guard_uses(handler) == {("catches", "g")}
+    assert _guard_uses("def h(u):\n    raise ExponentOverflowError('x')\n") == {("raises", "h")}
     for module in (cli, degree, estimates, graphs, linalg, solvers):
-        assert _cap_uses(inspect.getsource(module)) == set(), module.__name__
-    assert _cap_uses(inspect.getsource(model)) == {("reads", "_pointwise"), ("compares", "_exponents")}
+        assert _guard_uses(inspect.getsource(module)) == set(), module.__name__
+    # no cap and no handler: the public functions' one helper raises on a value that is not finite
+    assert _guard_uses(inspect.getsource(model)) == {("raises", "_in_range")}
     # one residual and one Jacobian closure, for a field and a block alike
     assert "block" not in inspect.signature(_kernels).parameters
     closures = [n.name for n in ast.walk(ast.parse(inspect.getsource(_kernels))) if isinstance(n, ast.FunctionDef)]

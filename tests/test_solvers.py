@@ -10,6 +10,7 @@ import pytest
 import helpers
 from tzgraph import (
     BarrierInapplicableError,
+    BarrierPair,
     ContinuationBrokenError,
     Kind,
     ProblemSpec,
@@ -29,7 +30,7 @@ from tzgraph import (
 from tzgraph import linalg
 from tzgraph.linalg import halton_ball, lu_factor
 from tzgraph.model import _kernels
-from tzgraph.errors import ExponentOverflowError, SpecValidationError
+from tzgraph.errors import InteriorViolationError, SpecValidationError
 import tzgraph.degree
 import tzgraph.model
 import tzgraph.solvers
@@ -473,7 +474,7 @@ def _linear_system(slope, shift, n=1, jac_slope=None):
 
 
 def test_block_screen_follows_runs_through_constructed_exits():
-    # the exponent cap in a trial step: next to the zero of the slope of
+    # a trial step past the float range: next to the zero of the slope of
     # 0.5 e^{3u} + 0.5 e^{-u} the Newton step is about 1e8 long
     g = helpers.random_graph(np.random.default_rng(269), 3)
     spec = constant_spec(Kind.CLASSIC, 3, 0.5, 0.5, A=3.0, B=1.0)
@@ -481,11 +482,10 @@ def test_block_screen_follows_runs_through_constructed_exits():
     capped = []
 
     def guarded(u):
-        try:
-            return fun(u)
-        except ExponentOverflowError:
+        value = fun(u)
+        if not np.isfinite(value).all():
             capped.append(u)
-            raise
+        return value
 
     starts = [np.full(3, -math.log(3.0) / 4.0 + 1e-9), np.full(3, 0.5), np.full(3, -3.0)]
     _screen_against_runs(guarded, jac, *_kernels(spec, g), starts, [], CFG, 20.0)
@@ -823,6 +823,76 @@ def test_mean_constant_root_matches_the_average_bisection():
         assert _mean_constant_root(fun, g, lo, hi) == helpers.mean_constant_root_oracle(
             spec, g, lo, hi
         )
+
+
+# one vertex, e^u (e^u - 1) + 4 e^-u (e^-u - 1): branch 1, with its positive root at log(4) / 3
+_BRANCH1_VERTEX = (WeightedGraph(("o",), (1.0,), ()), constant_spec(Kind.GENERALIZED, 1, 1.0, 4.0))
+
+
+def test_minimize_box_below_the_root_starts_at_the_middle_and_stops_on_the_wall(monkeypatch):
+    # the term is negative on the whole box, so the mean constant root has no sign change to
+    # bisect and starts in the middle; the descent climbs to the upper wall and is pinned there
+    g, spec = _BRANCH1_VERTEX
+    root, starts = _mean_constant_root, []
+    monkeypatch.setattr(tzgraph.solvers, "_mean_constant_root", lambda *a: starts.append(root(*a)) or starts[-1])
+    with pytest.raises(InteriorViolationError, match="projected-stationary point has an active box constraint"):
+        minimize_box(spec, g, BarrierPair(0.1, 0.2), CFG)
+    assert starts == [0.5 * (0.1 + 0.2)]
+
+
+def test_minimize_box_on_a_wall_at_the_root_raises():
+    # the upper wall sits 1e-12 below the root, where the gradient, about -2.8e-12, is below tol:
+    # the descent converges on the wall, which the barriers promise it never does
+    g, spec = _BRANCH1_VERTEX
+    with pytest.raises(InteriorViolationError, match="minimizer converged on the box boundary"):
+        minimize_box(spec, g, BarrierPair(0.1, math.log(4.0) / 3.0 - 1e-12), CFG)
+
+
+def test_minimize_box_polishes_a_stalled_descent(monkeypatch):
+    # every trial fails once the iterate's gradient is below 1e-5, so the descent stalls there and
+    # the Newton polish converges from it; the report counts the steps and the polish iterations
+    rng = np.random.default_rng(307)
+    g = helpers.random_graph(rng, 4)
+    spec = helpers.branch1_spec(rng, 4)
+    barriers = choose_barriers(spec, g)
+    plain = minimize_box(spec, g, barriers, CFG)
+    kernels, energy_kernel, newton_system = tzgraph.solvers._kernels, tzgraph.solvers._energy_kernel, _newton_system
+    gradients, polish = [], []
+
+    def recording_kernels(spec, g):
+        fun, jac = kernels(spec, g)
+        return lambda u: gradients.append(fun(u)) or gradients[-1], jac
+
+    def failing_energy_kernel(spec, g):
+        energy_of = energy_kernel(spec, g)
+        return lambda u: math.nan if np.max(np.abs(gradients[-1])) < 1e-5 else energy_of(u)
+
+    def recording_newton(*args, **kwargs):
+        polish.append(newton_system(*args, **kwargs))
+        return polish[-1]
+
+    monkeypatch.setattr(tzgraph.solvers, "_kernels", recording_kernels)
+    monkeypatch.setattr(tzgraph.solvers, "_energy_kernel", failing_energy_kernel)
+    monkeypatch.setattr(tzgraph.solvers, "_newton_system", recording_newton)
+    report = minimize_box(spec, g, barriers, CFG)
+    assert report.converged and len(polish) == 1 and polish[0].iterations > 0
+    # the history holds the start, one energy a step and the polished one
+    steps = len(report.energy_history) - 2
+    assert steps < len(plain.energy_history) - 1 and report.iterations == steps + polish[0].iterations
+    assert np.max(np.abs(report.solution - plain.solution)) < 1e-9
+
+
+def test_minimize_box_never_accepts_a_wall_whose_energy_is_minus_infinity():
+    # far out on the negative axis -(h2/B)(e^{-Bu} - 1)^2 overflows, so the energy of the lower
+    # wall, u = -400, is -inf; every trial the descent makes from the middle clips to that wall
+    g = WeightedGraph(("o",), (1.0,), ())
+    spec = constant_spec(Kind.GENERALIZED, 1, 1.0, 1.0)
+    assert energy(spec, g, [-300.0]) < 0.0
+    with np.errstate(over="ignore"):
+        assert tzgraph.model._energy_kernel(spec, g)(np.array([-400.0])) == -math.inf
+    report = minimize_box(spec, g, BarrierPair(1.0, 400.0, side=-1), CFG)
+    assert not report.converged and report.iterations == 0
+    assert report.solution[0] > -400.0 and np.isfinite(report.energy_history).all()
 
 
 def test_negative_seed_is_rejected():

@@ -7,8 +7,9 @@ n = 1, 2 and 3 and, under both kinds, on fixed files where h2 is zero,
 -0.0, of mixed sign or at the ends of the float range, which no generated
 family reaches; then ``check`` once more on each family at n = 1 and 2 for
 each of the ``--seed`` values in ``CHECK_SEEDS`` (every other command runs
-at the default seed 0); last, all five commands under both kinds on the
-fixed files of ``EXTREMES``; in-process and with BLAS pinned to one thread.  Each
+at the default seed 0); then all five commands under both kinds on the
+fixed files of ``EXTREMES``; last, ``multiplicity`` on the mirror instances
+of ``MIRROR_STARTS``; in-process and with BLAS pinned to one thread.  Each
 command's exit code, standard output, standard error and captured warnings
 go into the digest, in a fixed order.  Instance files are written to a
 temporary directory and named by relative paths, so two checkouts print
@@ -60,6 +61,9 @@ EXTREMES = (
     (2, "vertex a 1e-300 1 -1\nvertex b 1e-300 0.5 -2\nedge a b 1e300\n", 1.0),
     (2, "vertex a 1 1e300 -1\nvertex b 2 1e300 -2\nedge a b 1\n", 500.0),
 )
+# (n, seed, index) of ``gen.make_instance("mirror", ...)``: the mirror branch of ``multiplicity``
+# takes its second solution from warm starts 2, 3, 4, 5 and 6 in turn, then from the enumerator
+MIRROR_STARTS = ((2, 17, 1), (2, 37, 2), (12, 1, 0), (12, 31, 0), (2, 5, 1), (2, 14, 1))
 
 
 def boundary_instances() -> list:
@@ -111,7 +115,9 @@ def commands(seeds: list[int]) -> list:
         for inst in (make_instance(family, n, seed) for family in FAMILIES for n in SMALL_SIZES[:2])
         for check_seed in CHECK_SEEDS
     ]
-    return distinct + [(inst.name, Command(kind, inst), ()) for inst in extreme_instances() for kind in KINDS]
+    distinct += [(inst.name, Command(kind, inst), ()) for inst in extreme_instances() for kind in KINDS]
+    mirrors = [(seed, make_instance("mirror", n, seed, index)) for n, seed, index in MIRROR_STARTS]
+    return distinct + [(f"s{seed}-{inst.name}", Command("multiplicity", inst), ()) for seed, inst in mirrors]
 
 
 def run(argv: list[str]) -> list:
