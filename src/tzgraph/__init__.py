@@ -66,7 +66,6 @@ from .solvers import (
     SolverConfig,
     choose_barriers,
     continuation,
-    default_t_grid,
     find_two_solutions,
     minimize_box,
     multiplicity_branch,

@@ -34,6 +34,7 @@ import numpy as np
 from .degree import N_STARTS, _homotopy_degrees, estimate_degree
 from .errors import (
     BoundsInapplicableError,
+    ContinuationBrokenError,
     InputError,
     NoSolutionError,
     NumericalError,
@@ -56,7 +57,6 @@ from .solvers import (
     _two_solutions,
     choose_barriers,
     continuation,
-    default_t_grid,
     newton,
 )
 
@@ -266,7 +266,7 @@ def _cmd_solve(spec, g, cfg, args):
         raise NoSolutionError("integral obstruction: no solution exists")
     box = _applicable_box(spec, g)
     if spec.kind is Kind.CLASSIC and box is not None:
-        reports = continuation(spec, g, default_t_grid(), cfg)
+        reports = continuation(spec, g, cfg)
         report, method, stages = reports[-1], "continuation+newton", len(reports)
     else:
         report, method, stages = newton(spec, g, np.zeros(g.n), cfg), "newton", 1
@@ -391,10 +391,14 @@ def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[tuple]:
     if not _hypothesis_holds(spec):
         return checks
     if spec.kind is Kind.CLASSIC:
-        final = continuation(spec, g, default_t_grid(), cfg)[-1]
-        direct = newton(spec, g, np.zeros(g.n), cfg)
-        gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
-        checks.append(("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}"))
+        try:
+            final = continuation(spec, g, cfg)[-1]
+        except ContinuationBrokenError as exc:
+            checks.append(("continuation_matches_newton", False, str(exc)))
+        else:
+            direct = newton(spec, g, np.zeros(g.n), cfg)
+            gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
+            checks.append(("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}"))
         t_values, n_starts, proven = (0.0, 0.5, 1.0), min(args.starts, 32), 1
     else:
         # t = 1, the undeformed map that degree_value reports, is enumerated first

@@ -58,7 +58,6 @@ DEDUP_RADIUS = 1e-5
 # the multi-start count when the caller names none, here and on the CLI
 N_STARTS = 64
 _SCAN_POINTS = 4097
-_DERIVATIVE_FLOOR = 1e-12
 
 
 class Confidence(str, enum.Enum):
@@ -349,14 +348,15 @@ def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None) -> tuple[list, l
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
 
-    # the Laplacian of one vertex is 0, so the derivative is the slope of the term
+    # the Laplacian of one vertex is 0, so the derivative is the slope of the term; it is lost in rounding
+    # where small against its terms, slope(Au, -inf) and slope(-inf, -Bu), which h1 and h2 scale alike
     signs: list[int] = []
     for r in deduped:
-        derivative = float(slope(spec.A * r, -spec.B * r)[0])
-        if abs(derivative) < _DERIVATIVE_FLOOR:
-            raise DegenerateRootError(
-                f"scalar root {r:.12g} has derivative below {_DERIVATIVE_FLOOR:g}"
-            )
+        au, bu = spec.A * r, -spec.B * r
+        derivative = float(slope(au, bu)[0])
+        size = float(abs(slope(au, -math.inf)[0]) + abs(slope(-math.inf, bu)[0]))
+        if abs(derivative) <= linalg.PIVOT_RTOL * size:
+            raise DegenerateRootError(f"scalar root {r:.12g} is degenerate: slope {derivative:.3g}, terms {size:.3g}")
         signs.append(1 if derivative > 0.0 else -1)
     return deduped, signs, box
 

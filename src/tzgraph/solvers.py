@@ -47,7 +47,6 @@ __all__ = [
     "BarrierPair",
     "newton",
     "continuation",
-    "default_t_grid",
     "multiplicity_branch",
     "choose_barriers",
     "minimize_box",
@@ -64,6 +63,7 @@ _STALL_RATIO = 0.999
 _STALL_STEPS = 12
 _BLOW_UP = 1e12
 _MAX_BISECT_DEPTH = 10  # stage halving cap: effective grid of 2**10 points
+_STAGES = np.linspace(1.0, 0.0, 21)  # the deformation parameters continuation walks
 _BARRIER_SEARCH_STEPS = 60
 
 
@@ -417,34 +417,16 @@ def _newton_block(
     return u[:end], iterations[:end], passed[:end]
 
 
-def default_t_grid(count: int = 21) -> np.ndarray:
-    """Uniform deformation grid from t = 1 down to t = 0."""
-    if count < 2:
-        raise SpecValidationError("continuation grid needs at least two points")
-    return np.linspace(1.0, 0.0, count)
+def continuation(spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig = SolverConfig()) -> list[SolveReport]:
+    """Track the deformed equation over ``_STAGES``, from t = 1 down to t = 0.
 
-
-def continuation(
-    spec: ProblemSpec,
-    g: WeightedGraph,
-    t_grid: Sequence[float],
-    cfg: SolverConfig = SolverConfig(),
-) -> list[SolveReport]:
-    """Track the deformed equation from t = 1 down to t = 0.
-
-    Each converged stage seeds the next; a failing stage is retried across
-    recursively halved parameter steps (down to an effective grid of 2**10
-    points) before :class:`ContinuationBrokenError` is raised with the
-    partial reports attached.  For the classic kind t = 0 is the target
-    equation and the path normally completes; for the generalized kind the
-    t = 0 member has no solution, so the path must break along the way.
+    Each converged stage seeds the next; a failing stage after the first is
+    retried across recursively halved steps (down to an effective grid of
+    2**10 points) before :class:`ContinuationBrokenError` is raised with the
+    reports of the converged grid stages.  The classic path normally reaches
+    its target equation at t = 0; the generalized t = 0 member has no
+    solution, so that path must break.
     """
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise SpecValidationError("t_grid must be a 1-d grid with at least two points")
-    if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0.0):
-        raise SpecValidationError("t_grid must decrease strictly from 1 to 0")
-
     def solve_at(t: float, start: np.ndarray) -> SolveReport:
         return _newton_system(*_kernels(spec, g, HomotopyParams(float(t))), start, cfg)
 
@@ -460,11 +442,11 @@ def continuation(
         mid_report = advance(start, t_from, mid, depth + 1)
         return advance(mid_report.solution, mid, t_to, depth + 1)
 
-    first = solve_at(grid[0], np.zeros(g.n))
+    first = solve_at(_STAGES[0], np.zeros(g.n))
     if not first.converged:
-        raise ContinuationBrokenError(float(grid[0]), reports)
+        raise ContinuationBrokenError(float(_STAGES[0]), reports)
     reports.append(first)
-    for prev_t, next_t in zip(grid[:-1], grid[1:]):
+    for prev_t, next_t in zip(_STAGES[:-1], _STAGES[1:]):
         reports.append(advance(reports[-1].solution, float(prev_t), float(next_t), 0))
     return reports
 

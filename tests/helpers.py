@@ -25,7 +25,6 @@ from tzgraph import (
     bounds_generalized,
     continuation,
     default_epsilon,
-    default_t_grid,
     degree,
     elliptic_constant,
     energy,
@@ -50,6 +49,7 @@ from tzgraph.solvers import (
     _ARMIJO,
     _MIN_STEP,
     _SHRINK,
+    _STAGES,
     BarrierPair,
     SolveReport,
     SolverConfig,
@@ -414,11 +414,10 @@ def classic_neg_stage_jacobians(rng: np.random.Generator, n: int) -> list[np.nda
     """The Jacobian at the solution of every stage of a continuation on a
     random classic instance with h2 < 0."""
     g, spec = random_graph(rng, n), classic_spec(rng, n)
-    grid = default_t_grid()
-    reports = continuation(spec, g, grid, SolverConfig())
+    reports = continuation(spec, g, SolverConfig())
     return [
         jacobian_homotopy(spec, g, r.solution, HomotopyParams(float(t)))
-        for t, r in zip(grid, reports)
+        for t, r in zip(_STAGES, reports)
     ]
 
 

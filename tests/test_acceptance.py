@@ -22,7 +22,6 @@ from tzgraph import (
     bounds_generalized,
     choose_barriers,
     continuation,
-    default_t_grid,
     degree_single_vertex,
     elliptic_constant,
     energy,
@@ -71,7 +70,7 @@ def test_criterion_1_existence_branch():
         spec = helpers.classic_spec(rng, n)
         box = bounds_classic(spec)
 
-        reports = continuation(spec, g, default_t_grid(), CFG)
+        reports = continuation(spec, g, CFG)
         final = reports[-1]
         assert final.converged and final.residual_norm < 1e-10
         assert box.contains(final.solution, slack=1e-8)
@@ -203,7 +202,7 @@ def test_criterion_6_homotopy_uniform_bounds():
         spec = helpers.generalized_spec(rng, n)
         box = bounds_generalized(spec, g)
         with pytest.raises(ContinuationBrokenError) as info:
-            continuation(spec, g, default_t_grid(11), CFG)
+            continuation(spec, g, CFG)
         for report in info.value.reports:
             assert report.converged
             assert box.contains(report.solution, slack=1e-8)

@@ -538,6 +538,36 @@ def test_check_with_a_failed_invariant_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: numerical: invariant checks failed: homotopy_invariance\n"
 
 
+@pytest.mark.parametrize(
+    "lines,A,failed",
+    [
+        ("vertex a 1 1e300 -1\nvertex b 2 1e300 -2\nedge a b 1\n", "500",
+         "jacobian_fd,continuation_matches_newton,degree_value,homotopy_invariance"),
+        ("vertex o 1 1e-300 -1e300\n", "1", "continuation_matches_newton"),
+        ("vertex o 1 1e300 -1e-300\n", "1", "continuation_matches_newton"),
+    ],
+    ids=["pair", "tiny-h1", "huge-h1"],
+)
+def test_check_records_a_broken_continuation_and_runs_the_degree_audits(tmp_path, capsys, lines, A, failed):
+    path = write(tmp_path, lines)
+    code, out, err = run(capsys, ["check", path, "--equation", "classic", "--A", A, "--B", "1", "--no-timestamp"])
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert (code, err) == (3, f"error: numerical: invariant checks failed: {failed}\n")
+    assert len(checks) == 7 and {"degree_value", "homotopy_invariance"} <= set(checks)
+    record = checks["continuation_matches_newton"]
+    assert (record["passed"], record["detail"]) == (False, "continuation broke at t=0.999951")
+
+
+def test_check_on_a_simple_root_with_tiny_coefficients_passes(tmp_path, capsys):
+    # f(u) = 1e-13 (e^u - e^-u) has the simple root 0, where f' = 2e-13
+    path = write(tmp_path, "vertex o 1 1e-13 -1e-13\n")
+    code, out, err = run(capsys, ["degree", path, "--equation", "classic", "--A", "1", "--B", "1"])
+    result = json.loads(out)["result"]
+    assert (code, err, result["degree"], result["solutions"], result["signs"]) == (0, "", 1, [[0.0]], [1])
+    code, out, err = run(capsys, ["check", path, "--equation", "classic", "--A", "1", "--B", "1"])
+    assert (code, err) == (0, "") and json.loads(out)["result"]["all_passed"]
+
+
 # row 0 of the residual holds about 2e216 at the second jacobian_fd field with A = 2000
 LARGE_ROW_LINES = "vertex a 1 1 -1\nvertex b 2 0.5 -2\nedge a b 1\n"
 
@@ -847,7 +877,7 @@ def test_a_box_past_the_float_range_is_a_validation_error(tmp_path, capsys, line
         if command == "check" and out:
             report = json.loads(out)
             checks = {c["name"]: c for c in report["result"]["checks"]}
-            assert report["box"] is None and "energy_gradient_fd" in checks
+            assert report["box"] is None and ("energy_gradient_fd" in checks) == ("generalized" in flags)
             assert not checks["degree_value"]["passed"] and "float range" in checks["degree_value"]["detail"]
 
 

@@ -389,7 +389,14 @@ def test_scalar_double_root_raises():
     # A h1 = B h2: the generalized term h e^{u} (e^{u} - 1) + h e^{-u} (e^{-u} - 1)
     # vanishes to second order at 0, a root of even multiplicity
     spec = constant_spec(Kind.GENERALIZED, 1, 1.0, 1.0)
-    with pytest.raises(DegenerateRootError, match="scalar root 0 has derivative below"):
+    with pytest.raises(DegenerateRootError, match="scalar root 0 is degenerate: slope 0, terms 2$"):
+        degree_single_vertex(spec)
+
+
+def test_scalar_double_root_with_tiny_coefficients_raises():
+    # the test of a zero's slope is relative to its terms: h1 and h2 scaled together leave it as it is
+    spec = constant_spec(Kind.GENERALIZED, 1, 1e-20, 1e-20)
+    with pytest.raises(DegenerateRootError, match="scalar root 0 is degenerate: slope 0, terms 2e-20$"):
         degree_single_vertex(spec)
 
 

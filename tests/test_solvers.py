@@ -19,7 +19,6 @@ from tzgraph import (
     bounds_generalized,
     choose_barriers,
     continuation,
-    default_t_grid,
     energy,
     find_two_solutions,
     minimize_box,
@@ -521,6 +520,27 @@ def test_block_screen_follows_runs_through_constructed_exits():
     assert stall.residual_norm < CFG.tol and not stall.converged and stall.iterations == 12
 
 
+def test_a_jacobian_past_the_float_range_ends_the_run_before_its_first_step(monkeypatch):
+    # at u = 35.4 the generalized term e^{10u} (e^{10u} - 1) + e^{-u} (e^{-u} - 1) is 3.02e307, a
+    # float, while its slope, about 20 times that, is not
+    g = helpers.build_graph({"ids": ["o"], "mu": [1.0], "edges": []})
+    spec = constant_spec(Kind.GENERALIZED, 1, 1.0, 1.0, A=10.0)
+    starts = [np.array([35.4]), np.array([0.1])]
+    factored = []
+    monkeypatch.setattr(linalg, "lu_factor", lambda a: factored.append(a) or lu_factor(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = newton(spec, g, starts[0], CFG)
+        assert not factored  # the run ends before it factors the Jacobian
+        _, iterations, passed = _newton_block(*_kernels(spec, g), np.array(starts), CFG, [], 20.0)
+        runs = _screen_case(spec, g, starts, [])
+    assert (report.converged, report.iterations, report.jac_sign) == (False, 0, 0)
+    assert report.residual_history == (report.residual_norm,) and 3.0e307 < report.residual_norm < 3.1e307
+    assert (iterations[0], passed[0]) == (0, False)
+    # the row beside it, screened in the same block, keeps the bits of its lone run
+    assert passed[1] and runs[1].converged and runs[1].iterations > 0
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
@@ -530,7 +550,7 @@ def test_continuation_classic_endpoint_and_agreement():
     data = helpers.random_graph_data(rng, 4)
     g = helpers.build_graph(data)
     spec = helpers.classic_spec(rng, 4)
-    reports = continuation(spec, g, default_t_grid(), CFG)
+    reports = continuation(spec, g, CFG)
     assert len(reports) == 21
     # t = 1 member has the unique solution zero
     assert np.max(np.abs(reports[0].solution)) < 1e-10
@@ -557,9 +577,29 @@ def test_classic_neg_continuation_factors_once_per_newton_iteration(monkeypatch)
 
     monkeypatch.setattr(linalg, "lu_factor", factor)
     monkeypatch.setattr(tzgraph.solvers, "_newton_system", newton_system)
-    reports = continuation(spec, g, default_t_grid(), CFG)
+    reports = continuation(spec, g, CFG)
     assert len(reports) == 21 and all(r.converged and r.jac_sign == 1 for r in reports)
     assert len(factored) == sum(r.iterations for r in runs) > 0
+
+
+def test_continuation_halves_a_failing_stage(monkeypatch):
+    # the stage to t = 0.15 fails from the t = 0.2 solution and is crossed in halved steps
+    g = helpers.build_graph({"ids": ["a", "b"], "mu": [1.0, 1.0], "edges": [("a", "b", 1.0)]})
+    spec = ProblemSpec(Kind.CLASSIC, np.array([1e6, 0.01]), np.array([-1e6, -1.0]), 1.0, 1.0)
+    runs = []
+
+    def newton_system(*args, **kwargs):
+        runs.append(_newton_system(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(tzgraph.solvers, "_newton_system", newton_system)
+    reports = continuation(spec, g, CFG)
+    assert len(reports) == 21 and len(runs) > 21 and all(r.converged for r in reports)
+    monkeypatch.setattr(tzgraph.solvers, "_MAX_BISECT_DEPTH", 0)
+    with pytest.raises(ContinuationBrokenError, match=r"t=0\.15$") as info:
+        continuation(spec, g, CFG)
+    # the converged grid stages, t = 1 down to 0.2, are attached
+    assert [r.solution.tobytes() for r in info.value.reports] == [r.solution.tobytes() for r in reports[:17]]
 
 
 def test_continuation_generalized_breaks_before_t0():
@@ -568,21 +608,13 @@ def test_continuation_generalized_breaks_before_t0():
     spec = helpers.generalized_spec(rng, 3)
     box = bounds_generalized(spec, g)
     with pytest.raises(ContinuationBrokenError) as info:
-        continuation(spec, g, default_t_grid(11), CFG)
+        continuation(spec, g, CFG)
     err = info.value
     assert 0.0 <= err.t_failed < 1.0
     assert err.reports, "at least the t=1 stage must have solved"
     for report in err.reports:
         assert report.converged
         assert box.contains(report.solution, slack=1e-8)
-
-
-def test_continuation_rejects_bad_grids():
-    g = helpers.k2()
-    spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
-    for grid in ([0.0, 1.0], [1.0, 0.5], [1.0, 0.5, 0.5, 0.0], [1.0]):
-        with pytest.raises(Exception):
-            continuation(spec, g, grid, CFG)
 
 
 # ---------------------------------------------------------------------------

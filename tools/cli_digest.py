@@ -8,15 +8,16 @@ n = 1, 2 and 3 and, under both kinds, on fixed files where h2 is zero,
 family reaches; then ``check`` once more on each family at n = 1 and 2 for
 each of the ``--seed`` values in ``CHECK_SEEDS`` (every other command runs
 at the default seed 0); then all five commands under both kinds on the
-fixed files of ``EXTREMES``; last, ``multiplicity`` on the mirror instances
-of ``MIRROR_STARTS``; in-process and with BLAS pinned to one thread.  Each
-command's exit code, standard output, standard error and captured warnings
-go into the digest, in a fixed order.  Instance files are written to a
-temporary directory and named by relative paths, so two checkouts print
-the same digests exactly when their CLI answers agree byte for byte.  One
-line per command gives its own digest and argv, so a ``diff`` of two
-checkouts' outputs names the commands whose answers moved; the last line
-is the digest over all of them::
+fixed files of ``EXTREMES``; then ``multiplicity`` on the mirror instances
+of ``MIRROR_STARTS``; last, all five commands under the classic kind on the
+fixed files of ``CLASSIC_PINS``; in-process and with BLAS pinned to one
+thread.  Each command's exit code, standard output, standard error and
+captured warnings go into the digest, in a fixed order.  Instance files
+are written to a temporary directory and named by relative paths, so two
+checkouts print the same digests exactly when their CLI answers agree
+byte for byte.  One line per command gives its own digest and argv, so a
+``diff`` of two checkouts' outputs names the commands whose answers
+moved; the last line is the digest over all of them::
 
     python3 tools/cli_digest.py --seeds 7 11
     python3 tools/cli_digest.py --seeds 7 11 --root ../parent-checkout
@@ -64,6 +65,12 @@ EXTREMES = (
 # (n, seed, index) of ``gen.make_instance("mirror", ...)``: the mirror branch of ``multiplicity``
 # takes its second solution from warm starts 2, 3, 4, 5 and 6 in turn, then from the enumerator
 MIRROR_STARTS = ((2, 17, 1), (2, 37, 2), (12, 1, 0), (12, 31, 0), (2, 5, 1), (2, 14, 1))
+# vertex count and file, classic with A = B = 1: a path continuation follows only by halving a
+# stage, and a simple one-vertex root whose slope, 2e-13, is tiny only because h1 and h2 are
+CLASSIC_PINS = (
+    (2, "vertex a 1 1e6 -1e6\nvertex b 1 0.01 -1\nedge a b 1\n"),
+    (1, "vertex o 1 1e-13 -1e-13\n"),
+)
 
 
 def boundary_instances() -> list:
@@ -92,7 +99,7 @@ def extreme_instances() -> list:
 
 def commands(seeds: list[int]) -> list:
     """Distinct ``(file stem, Command, extra flags)`` triples, first occurrence first."""
-    from gen import FAMILIES, make_instance
+    from gen import FAMILIES, Instance, make_instance
     from workloads import WORKLOADS, Command, build
 
     listed = [(seed, cmd) for seed in seeds for workload in WORKLOADS for cmd in build(workload, seed)]
@@ -117,7 +124,9 @@ def commands(seeds: list[int]) -> list:
     ]
     distinct += [(inst.name, Command(kind, inst), ()) for inst in extreme_instances() for kind in KINDS]
     mirrors = [(seed, make_instance("mirror", n, seed, index)) for n, seed, index in MIRROR_STARTS]
-    return distinct + [(f"s{seed}-{inst.name}", Command("multiplicity", inst), ()) for seed, inst in mirrors]
+    distinct += [(f"s{seed}-{inst.name}", Command("multiplicity", inst), ()) for seed, inst in mirrors]
+    pins = [Instance("pinned", n, index, "classic", 1.0, 1.0, text) for index, (n, text) in enumerate(CLASSIC_PINS)]
+    return distinct + [(inst.name, Command(kind, inst), ()) for inst in pins for kind in KINDS]
 
 
 def run(argv: list[str]) -> list:
