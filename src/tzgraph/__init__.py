@@ -49,7 +49,6 @@ from .graphs import (
     laplacian_matrix,
 )
 from .model import (
-    HomotopyParams,
     Kind,
     ProblemSpec,
     default_epsilon,

@@ -399,16 +399,16 @@ def _run_checks(spec, g, cfg, args, box: AprioriBox | None) -> list[tuple]:
             direct = newton(spec, g, np.zeros(g.n), cfg)
             gap = float(np.maximum.reduce(np.abs(final.solution - direct.solution)))
             checks.append(("continuation_matches_newton", direct.converged and gap <= 1e-8, f"sup gap {gap:.3e}"))
-        t_values, n_starts, proven = (0.0, 0.5, 1.0), min(args.starts, 32), 1
+        n_starts, proven = min(args.starts, 32), 1
     else:
-        # t = 1, the undeformed map that degree_value reports, is enumerated first
-        t_values, n_starts, proven = (1.0, 0.5, 0.0), min(args.starts, 48), 0
+        n_starts, proven = min(args.starts, 48), 0
     if box is None:
         detail = "no ball to count zeros in: the a priori box leaves the float range"
         return checks + [("degree_value", False, detail)]
-    degrees = _homotopy_degrees(spec, g, cfg, t_values, n_starts)
+    # the undeformed map, whose degree degree_value reports, comes first
+    ts, degrees = zip(*_homotopy_degrees(spec, g, cfg, n_starts))
     checks.append(("degree_value", degrees[0] == proven, f"estimated degree {degrees[0]}"))
-    detail = f'degrees {", ".join(map(str, degrees))} at t = {", ".join(f"{t:g}" for t in t_values)}'
+    detail = f'degrees {", ".join(map(str, degrees))} at t = {", ".join(f"{t:g}" for t in ts)}'
     checks.append(("homotopy_invariance", len(set(degrees)) == 1, detail))
     return checks
 

@@ -22,7 +22,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .errors import (
 from .estimates import AprioriBox, _apriori_box, _hypothesis_holds, _obstructed
 from .graphs import WeightedGraph
 from .model import (
-    HomotopyParams,
     Kind,
     ProblemSpec,
     _classic_member,
@@ -119,7 +117,7 @@ def _run_limits(cfg: SolverConfig, radius: float) -> tuple[SolverConfig, float]:
 def _enumerate_signed_roots(
     spec: ProblemSpec,
     g: WeightedGraph,
-    hp: HomotopyParams | None,
+    t: float | None,
     radius: float,
     cfg: SolverConfig,
     n_starts: int,
@@ -136,7 +134,7 @@ def _enumerate_signed_roots(
     ``solvers._newton_block`` screens the queue on twice as many lanes as
     wave one has starts, so wave one and the first probes run together.
     """
-    fun, jac_fun = _kernels(spec, g, hp)
+    fun, jac_fun = _kernels(spec, g, t)
     dim = g.n
     queue = [np.zeros(dim)]
     if n_starts > 1:
@@ -319,15 +317,15 @@ def degree_single_vertex(spec: ProblemSpec) -> DegreeReport:
     return DegreeReport(solutions, tuple(signs), int(sum(signs)), box.radius, 0, Confidence.PROVEN)
 
 
-def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None) -> tuple[list, list[int], AprioriBox]:
-    """The zeros of a one-vertex spec's deformation ``hp`` in its padded box, ascending, their signs, the box.
+def _scalar_roots(spec: ProblemSpec, t: float | None) -> tuple[list, list[int], AprioriBox]:
+    """The zeros of a one-vertex spec's deformation member ``t`` in its padded box, ascending, their signs, the box.
 
     The equation on one vertex holds no measure: the box is a unit-measure vertex's, padded by one.  The
     residual is the pointwise term, so sign-change bisection between the points of a grid finds every
     simple zero, and the sign of the term's slope is the zero's degree contribution.
     """
     box = _apriori_box(spec, WeightedGraph(("o",), (1.0,), ()))
-    pointwise, slope = _pointwise(spec, hp)
+    pointwise, slope = _pointwise(spec, t)
 
     def term(c: np.ndarray) -> np.ndarray:
         return pointwise(spec.A * c, -spec.B * c)
@@ -361,42 +359,38 @@ def _scalar_roots(spec: ProblemSpec, hp: HomotopyParams | None) -> tuple[list, l
     return deduped, signs, box
 
 
-def _homotopy_degrees(
-    spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, t_values: Sequence[float], n_starts: int
-) -> list[int]:
-    """Enumerated degree of the deformed map at each t of a non-empty grid in [0, 1], in order.
+def _homotopy_degrees(spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, n_starts: int) -> list[tuple]:
+    """``(t, degree)`` pairs: the enumerated degree of the deformed map at t = 0, 0.5 and 1.
 
-    Every entry is the signed count of the zeros in an a priori box: classic
-    members in their own, generalized ones in the t-uniform one.  On one
-    vertex they are ``degree_single_vertex``'s scan, elsewhere the multi-start
-    enumeration, which these degrees audit.  They are not
-    ``estimate_degree``'s degrees, which come from a proof on both kinds.
+    The undeformed member comes first: t = 0 on the classic kind, t = 1 on
+    the generalized kind.  Every degree is the signed count of the zeros in
+    an a priori box: classic members in their own, generalized ones in the
+    t-uniform one.  On one vertex they are ``degree_single_vertex``'s scan,
+    elsewhere the multi-start enumeration, which these degrees audit.  They
+    are not ``estimate_degree``'s degrees, which come from a proof on both
+    kinds.
     """
     _check_search(None, n_starts)
-    grid = [HomotopyParams(float(t)) for t in t_values]
-    if not grid:
-        raise SpecValidationError("the homotopy t grid is empty")
 
-    def signed_count(member: ProblemSpec, hp: HomotopyParams | None) -> int:
+    def signed_count(member: ProblemSpec, t: float | None) -> int:
         if g.n == 1:  # the scan takes the member's box itself
-            return int(sum(_scalar_roots(member, hp)[1]))
+            return int(sum(_scalar_roots(member, t)[1]))
         radius = _apriori_box(member, g).radius
-        return int(sum(_enumerate_signed_roots(member, g, hp, radius, cfg, n_starts)[1]))
+        return int(sum(_enumerate_signed_roots(member, g, t, radius, cfg, n_starts)[1]))
 
     if spec.kind is Kind.CLASSIC:
-        members = (ProblemSpec(Kind.CLASSIC, *_classic_member(spec, hp.t), spec.A, spec.B) for hp in grid)
-        return [signed_count(m, None) for m in members]
-    return [0 if hp.t == 0.0 else signed_count(spec, hp) for hp in grid]
+        members = ((t, ProblemSpec(Kind.CLASSIC, *_classic_member(spec, t), spec.A, spec.B)) for t in (0.0, 0.5, 1.0))
+        return [(t, signed_count(m, None)) for t, m in members]
+    return [(t, 0 if t == 0.0 else signed_count(spec, t)) for t in (1.0, 0.5, 0.0)]
 
 
 def verify_homotopy_invariance(
     spec: ProblemSpec,
     g: WeightedGraph,
     cfg: SolverConfig = SolverConfig(),
-    t_values: Sequence[float] = (0.0, 0.5, 1.0),
     n_starts: int = N_STARTS,
 ) -> bool:
-    """True when the estimated degree of the deformed map agrees at every t.
+    """True when the estimated degree of the deformed map agrees at t = 0, 0.5 and 1.
 
     Classic: each deformation member is itself a classic equation with
     shifted coefficients and a negative second coefficient, so each stage
@@ -404,4 +398,4 @@ def verify_homotopy_invariance(
     single t-uniform ball; the t = 0 member has a strictly positive
     pointwise part for every field, so its degree is 0 with no search.
     """
-    return len(set(_homotopy_degrees(spec, g, cfg, t_values, n_starts))) == 1
+    return len({d for _, d in _homotopy_degrees(spec, g, cfg, n_starts)}) == 1

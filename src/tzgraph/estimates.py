@@ -156,10 +156,12 @@ def elliptic_constant(g: WeightedGraph) -> float:
     D dominates the edge count of the extremal shortest path of any
     individual field, so the bound holds field-independently.  Returns 0
     for the single-vertex graph, where max - min is identically zero.
+    Where ``w0 * lambda1`` is not a normal float the roots are taken apart.
     """
     if g.n == 1:
         return 0.0
     constants = graph_constants(g)
-    return math.sqrt(
-        (constants.ell - 1) * constants.volume / (constants.w0 * constants.lambda1)
-    )
+    spread, w0, lambda1 = (constants.ell - 1) * constants.volume, constants.w0, constants.lambda1
+    if w0 * lambda1 >= sys.float_info.min:
+        return math.sqrt(spread / (w0 * lambda1))
+    return math.sqrt(spread / w0) / math.sqrt(lambda1)

@@ -53,7 +53,6 @@ from .graphs import WeightedGraph, as_field
 __all__ = [
     "Kind",
     "ProblemSpec",
-    "HomotopyParams",
     "residual",
     "residual_homotopy",
     "jacobian",
@@ -116,17 +115,6 @@ class ProblemSpec:
         return self.h1.size
 
 
-@dataclass(frozen=True)
-class HomotopyParams:
-    """Deformation parameter; the classic shift is ``default_epsilon`` of the spec."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise SpecValidationError(f"homotopy parameter t={self.t} outside [0, 1]")
-
-
 def default_epsilon(spec: ProblemSpec) -> float:
     """Coefficient shift of the classic deformation.
 
@@ -158,17 +146,17 @@ def _check_spec_alignment(spec: ProblemSpec, g: WeightedGraph) -> None:
         )
 
 
-def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Callable, Callable]:
-    """The pointwise term of the deformation ``hp`` and its derivative.
+def _pointwise(spec: ProblemSpec, t: float | None = None) -> tuple[Callable, Callable]:
+    """The pointwise term of the deformation's member ``t`` and its derivative.
 
     The two callables take ``A u`` and ``-B u`` and broadcast against the
     coefficient fields, so one call evaluates every vertex, or many points of
     a one-vertex spec; past the float range they return an infinity or a
-    NaN.  A classic ``hp`` needs ``h2 < 0`` everywhere (``default_epsilon``).
+    NaN.  A classic ``t`` needs ``h2 < 0`` everywhere (``default_epsilon``).
     """
     A, B, h1, h2 = spec.A, spec.B, spec.h1, spec.h2
     if spec.kind is Kind.CLASSIC:
-        c1, c2 = (h1, h2) if hp is None else _classic_member(spec, hp.t)
+        c1, c2 = (h1, h2) if t is None else _classic_member(spec, t)
         a_c1, b_c2 = A * c1, B * c2
 
         def pointwise(au, bu):
@@ -179,7 +167,7 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
 
         return pointwise, slope
 
-    t = 1.0 if hp is None else hp.t
+    t = 1.0 if t is None else t
     shift, h1_a, h2_b = 1.0 - t, h1 * A, h2 * B
 
     def pointwise(au, bu):
@@ -195,18 +183,21 @@ def _pointwise(spec: ProblemSpec, hp: HomotopyParams | None = None) -> tuple[Cal
 
 
 def _kernels(
-    spec: ProblemSpec, g: WeightedGraph, hp: HomotopyParams | None = None
+    spec: ProblemSpec, g: WeightedGraph, t: float | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Unchecked residual and Jacobian callables of the deformation ``hp``.
+    """Unchecked residual and Jacobian callables of the deformation's member ``t``.
 
-    ``hp=None`` is the equation itself: t = 0 for the classic kind, t = 1
-    for the generalized kind.  The spec, the graph and the deformation are checked
-    once, here; the callables trust their argument to be a finite field on
-    ``g``, or a ``(k, n)`` block of them, each row with the bits of one field.
-    A field whose terms leave the float range gets a value that is not finite.
+    ``t=None`` is the equation itself: t = 0 for the classic kind, t = 1
+    for the generalized kind.  The spec, the graph and t, which must lie in
+    [0, 1], are checked once, here; the callables trust their argument to be
+    a finite field on ``g``, or a ``(k, n)`` block of them, each row with the
+    bits of one field.  A field whose terms leave the float range gets a
+    value that is not finite.
     """
     _check_spec_alignment(spec, g)
-    pointwise, slope = _pointwise(spec, hp)
+    if t is not None and not 0.0 <= t <= 1.0:
+        raise SpecValidationError(f"homotopy parameter t={t} outside [0, 1]")
+    pointwise, slope = _pointwise(spec, t)
     A, B, n = spec.A, spec.B, g.n
     neg_lap = g.neg_laplacian()
     flat = neg_lap.ravel()
@@ -259,15 +250,15 @@ def residual(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     return _in_range(_kernels(spec, g)[0], g, u)
 
 
-def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
-    """Residual of the deformed equation at parameter ``hp.t``.
+def residual_homotopy(spec: ProblemSpec, g: WeightedGraph, u, t: float) -> np.ndarray:
+    """Residual of the deformed equation at parameter ``t`` in [0, 1].
 
     Classic: the coefficients slide linearly from ``(h1, h2)`` at t = 0,
     where this is ``residual``, to ``(eps, -eps)`` at t = 1, with ``eps =
     default_epsilon(spec)``.  Generalized: inner factors ``e^{A u} - t`` and
     ``e^{-B u} - t`` (reduces to ``residual`` at t = 1).
     """
-    return _in_range(_kernels(spec, g, hp)[0], g, u)
+    return _in_range(_kernels(spec, g, t)[0], g, u)
 
 
 def jacobian(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
@@ -275,9 +266,9 @@ def jacobian(spec: ProblemSpec, g: WeightedGraph, u) -> np.ndarray:
     return _in_range(_kernels(spec, g)[1], g, u)
 
 
-def jacobian_homotopy(spec: ProblemSpec, g: WeightedGraph, u, hp: HomotopyParams) -> np.ndarray:
-    """Derivative of the deformed residual at parameter ``hp.t``."""
-    return _in_range(_kernels(spec, g, hp)[1], g, u)
+def jacobian_homotopy(spec: ProblemSpec, g: WeightedGraph, u, t: float) -> np.ndarray:
+    """Derivative of the deformed residual at parameter ``t`` in [0, 1]."""
+    return _in_range(_kernels(spec, g, t)[1], g, u)
 
 
 def energy(spec: ProblemSpec, g: WeightedGraph, u) -> float:

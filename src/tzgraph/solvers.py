@@ -30,7 +30,6 @@ from .errors import (
 from .estimates import _hypothesis_holds, bounds_generalized
 from .graphs import WeightedGraph, as_field
 from .model import (
-    HomotopyParams,
     Kind,
     ProblemSpec,
     _check_spec_alignment,
@@ -428,7 +427,7 @@ def continuation(spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig = Solver
     solution, so that path must break.
     """
     def solve_at(t: float, start: np.ndarray) -> SolveReport:
-        return _newton_system(*_kernels(spec, g, HomotopyParams(float(t))), start, cfg)
+        return _newton_system(*_kernels(spec, g, float(t)), start, cfg)
 
     reports: list[SolveReport] = []
 

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from tzgraph import (
-    HomotopyParams,
     Kind,
     ProblemSpec,
     WeightedGraph,
@@ -416,7 +415,7 @@ def classic_neg_stage_jacobians(rng: np.random.Generator, n: int) -> list[np.nda
     g, spec = random_graph(rng, n), classic_spec(rng, n)
     reports = continuation(spec, g, SolverConfig())
     return [
-        jacobian_homotopy(spec, g, r.solution, HomotopyParams(float(t)))
+        jacobian_homotopy(spec, g, r.solution, float(t))
         for t, r in zip(_STAGES, reports)
     ]
 
@@ -470,12 +469,12 @@ def _exponentials_oracle(spec: ProblemSpec, u):
     return np.exp(spec.A * u), np.exp(-spec.B * u)
 
 
-def residual_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
+def residual_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, t=None):
     """The residual formulas as the public functions wrote them out before the
-    shared kernel: ``hp=None`` is ``residual``, otherwise ``residual_homotopy``."""
+    shared kernel: ``t=None`` is ``residual``, otherwise ``residual_homotopy``."""
     u = np.asarray(u, dtype=float)
     e_up, e_dn = _exponentials_oracle(spec, u)
-    if hp is None:
+    if t is None:
         if spec.kind is Kind.CLASSIC:
             nonlinear = spec.h1 * e_up + spec.h2 * e_dn
         else:
@@ -484,24 +483,25 @@ def residual_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
             )
     elif spec.kind is Kind.CLASSIC:
         eps = default_epsilon(spec)
-        c1 = hp.t * eps + (1.0 - hp.t) * spec.h1
-        c2 = -hp.t * eps + (1.0 - hp.t) * spec.h2
+        c1 = t * eps + (1.0 - t) * spec.h1
+        c2 = -t * eps + (1.0 - t) * spec.h2
         nonlinear = c1 * e_up + c2 * e_dn
     else:
-        nonlinear = spec.h1 * e_up * (np.expm1(spec.A * u) + (1.0 - hp.t)) + (
-            spec.h2 * e_dn * (np.expm1(-spec.B * u) + (1.0 - hp.t))
+        nonlinear = spec.h1 * e_up * (np.expm1(spec.A * u) + (1.0 - t)) + (
+            spec.h2 * e_dn * (np.expm1(-spec.B * u) + (1.0 - t))
         )
     return g.neg_laplacian() @ u + nonlinear
 
 
-def jacobian_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, hp=None):
-    """``jacobian`` (``hp=None``) and ``jacobian_homotopy`` as written out before the shared kernel."""
+def jacobian_formula_oracle(spec: ProblemSpec, g: WeightedGraph, u, t=None):
+    """``jacobian`` (``t=None``) and ``jacobian_homotopy`` as written out before the shared kernel."""
     u = np.asarray(u, dtype=float)
     e_up, e_dn = _exponentials_oracle(spec, u)
-    t = (0.0 if spec.kind is Kind.CLASSIC else 1.0) if hp is None else hp.t
+    deformed = t is not None
+    t = t if deformed else (0.0 if spec.kind is Kind.CLASSIC else 1.0)
     if spec.kind is Kind.CLASSIC:
         c1, c2 = spec.h1, spec.h2
-        if hp is not None:
+        if deformed:
             eps = default_epsilon(spec)
             c1 = t * eps + (1.0 - t) * spec.h1
             c2 = -t * eps + (1.0 - t) * spec.h2
@@ -988,7 +988,7 @@ def newton_block_oracle(fun, jac_fun, starts, cfg, known, escape_radius):
     return u[:end], iterations[:end], passed[:end]
 
 
-def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newton_block_oracle):
+def enumerate_wave_blocks_oracle(spec, g, t, radius, cfg, n_starts, block=newton_block_oracle):
     """``degree._enumerate_signed_roots`` with one lockstep block per wave.
 
     Wave one, then the probes of each root in the order the roots were
@@ -997,7 +997,7 @@ def enumerate_wave_blocks_oracle(spec, g, hp, radius, cfg, n_starts, block=newto
     certification runs and constants are looked up in ``degree`` at call
     time, so a test can count them on both enumerators alike.
     """
-    fun, jac_fun = degree._kernels(spec, g, hp)
+    fun, jac_fun = degree._kernels(spec, g, t)
     dim = g.n
     starts = [np.zeros(dim)]
     if n_starts > 1:
@@ -1350,8 +1350,13 @@ def degree_single_vertex_oracle(spec: ProblemSpec) -> degree.DegreeReport:
     signs = []
     for r in deduped:
         derivative = float(jacobian(spec, k1, np.array([r]))[0, 0])
-        if abs(derivative) < 1e-12:
-            raise DegenerateRootError(f"scalar root {r:.12g} has derivative below 1e-12")
+        # degenerate where the slope is lost in the rounding of its two terms
+        e_up, e_dn = math.exp(spec.A * r), math.exp(-spec.B * r)
+        up, dn = spec.A * float(spec.h1[0]) * e_up, spec.B * float(spec.h2[0]) * e_dn
+        if spec.kind is Kind.GENERALIZED:
+            up, dn = up * (2.0 * e_up - 1.0), dn * (2.0 * e_dn - 1.0)
+        if abs(derivative) <= linalg.PIVOT_RTOL * (abs(up) + abs(dn)):
+            raise DegenerateRootError(f"scalar root {r:.12g} has a slope lost in the rounding of its terms")
         signs.append(1 if derivative > 0.0 else -1)
     solutions = tuple(np.array([r]) for r in deduped)
     return degree.DegreeReport(

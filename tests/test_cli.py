@@ -344,6 +344,12 @@ def test_help_returns_zero_in_process(capsys, flag):
     assert [line.split()[0] for line in listed] == list(COMMANDS)
 
 
+def test_a_zero_iteration_budget_is_a_validation_error(tmp_path, capsys):
+    path = write(tmp_path, K2_LINES)
+    code, out, err = run(capsys, ["solve", path, "--equation", "classic", "--A", "1", "--B", "1", "--max-iter", "0"])
+    assert (code, out, err) == (2, "", "error: validation: max_iter must be at least 1\n")
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "vertex a 1 1 -1\nvertex b 1 1 -1\n")  # disconnected
     code, _, err = run(
@@ -526,7 +532,7 @@ def test_check_on_classic_with_positive_h2_records_the_integral_obstruction(tmp_
 
 
 def test_check_with_a_failed_invariant_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_homotopy_degrees", lambda *args: [1, 0, 1])
+    monkeypatch.setattr(cli, "_homotopy_degrees", lambda *args: [(0.0, 1), (0.5, 0), (1.0, 1)])
     path = write(tmp_path, K2_LINES)
     code, out, err = run(
         capsys, ["check", path, "--equation", "classic", "--A", "1", "--B", "1", "--no-timestamp", "--starts", "8"]
@@ -913,6 +919,22 @@ def test_the_energy_with_a_tiny_exponent_prints_no_warning(tmp_path, command, li
     # nothing on stderr but the one error line of a failed audit
     assert (result.returncode, result.stderr.count("\n")) == (code, code != 0)
     assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("weight", ["1e-160", "1e-200", "1e-310"])
+@pytest.mark.parametrize("equation,h2", [("classic", ("-1", "-2")), ("generalized", ("3", "2"))])
+def test_every_command_answers_on_tiny_edge_weights(tmp_path, capsys, weight, equation, h2):
+    # w0 * lambda1 underflows below a weight of about 1e-162, and the elliptic constant
+    # of every report is infinite only where it leaves the float range
+    path = write(tmp_path, f"vertex a 1 1 {h2[0]}\nvertex b 2 0.5 {h2[1]}\nedge a b {weight}\n")
+    for command in COMMANDS:
+        code, out, err = run(capsys, [command, path, "--equation", equation, "--A", "1", "--B", "1", "--no-timestamp"])
+        if equation == "classic" and command == "multiplicity":
+            assert (code, err) == (2, "error: validation: barriers are defined for the generalized kind only\n")
+            continue
+        assert (code, err) == (0, "")
+        constant = json.loads(out)["graph"]["constants"]["elliptic_constant"]
+        assert (constant == math.inf) == (weight == "1e-310")
 
 
 def test_every_report_box_is_the_applicable_box(tmp_path, capsys, monkeypatch):

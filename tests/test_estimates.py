@@ -1,6 +1,7 @@
 """A priori boxes, the sign tests on h2, and the elliptic estimate constant."""
 
 import ast
+import decimal
 import inspect
 import math
 
@@ -120,6 +121,23 @@ def test_elliptic_constant_k2_tight():
     u = np.array([0.0, 1.0])
     spread = float(u.max() - u.min())
     assert spread == pytest.approx(c * np.max(np.abs(laplacian(g, u))), abs=1e-12)
+
+
+@pytest.mark.parametrize("weight", [1e-160, 1e-200, 1e-310])
+def test_elliptic_constant_of_tiny_weights(weight):
+    # below a weight of about 1e-162 the product w0 * lambda1 underflows; C itself leaves the
+    # float range only near 1e-310, where it is an infinity
+    g = helpers.k2(mu=(1.0, 2.0), w=weight)
+    constants = graphs.graph_constants(g)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        spread = decimal.Decimal((constants.ell - 1) * constants.volume)
+        logs = spread.ln() - decimal.Decimal(constants.w0).ln() - decimal.Decimal(constants.lambda1).ln()
+        reference = float((logs / 2).exp())
+    c = elliptic_constant(g)
+    if weight == 1e-310:
+        assert reference == c == math.inf
+    else:
+        assert abs(c - reference) <= 1e-14 * reference
 
 
 def test_elliptic_constant_single_vertex():

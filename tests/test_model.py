@@ -12,7 +12,6 @@ import helpers
 from tzgraph import (
     ExponentOverflowError,
     HomotopyInfeasibleError,
-    HomotopyParams,
     Kind,
     ProblemSpec,
     SpecValidationError,
@@ -97,8 +96,7 @@ def test_classic_deformation_t0_is_residual_bitwise(seed):
     g = helpers.random_graph(rng, n)
     spec = helpers.classic_spec(rng, n)
     u = rng.normal(0.0, 0.7, n)
-    hp = HomotopyParams(0.0)
-    assert np.array_equal(residual_homotopy(spec, g, u, hp), residual(spec, g, u))
+    assert np.array_equal(residual_homotopy(spec, g, u, 0.0), residual(spec, g, u))
 
 
 @given(st.integers(0, 10**6))
@@ -109,7 +107,7 @@ def test_generalized_deformation_t1_is_residual_bitwise(seed):
     spec = helpers.generalized_spec(rng, n)
     u = rng.normal(0.0, 0.7, n)
     assert np.array_equal(
-        residual_homotopy(spec, g, u, HomotopyParams(1.0)), residual(spec, g, u)
+        residual_homotopy(spec, g, u, 1.0), residual(spec, g, u)
     )
 
 
@@ -117,8 +115,7 @@ def test_classic_deformation_t1_zero_field():
     rng = np.random.default_rng(47)
     g = helpers.random_graph(rng, 5)
     spec = helpers.classic_spec(rng, 5)
-    hp = HomotopyParams(1.0)
-    assert np.allclose(residual_homotopy(spec, g, np.zeros(5), hp), 0.0, atol=1e-16)
+    assert np.allclose(residual_homotopy(spec, g, np.zeros(5), 1.0), 0.0, atol=1e-16)
 
 
 def test_generalized_deformation_t0_squares_exponentials():
@@ -132,7 +129,7 @@ def test_generalized_deformation_t0_squares_exponentials():
         + spec.h1 * np.exp(2.0 * spec.A * u)
         + spec.h2 * np.exp(-2.0 * spec.B * u)
     )
-    got = residual_homotopy(spec, g, u, HomotopyParams(0.0))
+    got = residual_homotopy(spec, g, u, 0.0)
     assert np.allclose(got, expected, rtol=1e-13)
 
 
@@ -141,13 +138,15 @@ def test_classic_deformation_infeasible_for_positive_h2():
     with pytest.raises(HomotopyInfeasibleError):
         default_epsilon(spec)
     with pytest.raises(HomotopyInfeasibleError):
-        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5))
+        residual_homotopy(spec, helpers.k2(), np.zeros(2), 0.5)
 
 
 def test_homotopy_params_validation():
+    spec, g = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0), helpers.k2()
     for t in (1.5, -0.1, math.nan):
-        with pytest.raises(SpecValidationError):
-            HomotopyParams(t)
+        for deformed in (residual_homotopy, jacobian_homotopy):
+            with pytest.raises(SpecValidationError, match=r"homotopy parameter t=.* outside \[0, 1\]"):
+                deformed(spec, g, np.zeros(2), t)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +187,11 @@ def test_jacobian_matches_finite_differences(maker):
 def test_homotopy_jacobian_matches_finite_differences():
     rng = np.random.default_rng(67)
     g = helpers.random_graph(rng, 4)
-    hp = HomotopyParams(0.37)
+    t = 0.37
     for spec in (helpers.classic_spec(rng, 4), helpers.generalized_spec(rng, 4)):
         u = rng.normal(0.0, 0.5, 4)
-        fd = helpers.fd_jacobian(lambda v: residual_homotopy(spec, g, v, hp), u)
-        jac = jacobian_homotopy(spec, g, u, hp)
+        fd = helpers.fd_jacobian(lambda v: residual_homotopy(spec, g, v, t), u)
+        jac = jacobian_homotopy(spec, g, u, t)
         assert np.max(np.abs(fd - jac)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
@@ -314,7 +313,7 @@ def test_problem_spec_validation():
 
 def _deformations(spec):
     """The identity (None) and t in {0, 0.5, 1} of the spec's deformation."""
-    return [None] + [HomotopyParams(t) for t in (0.0, 0.5, 1.0)]
+    return [None, 0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("kind", [Kind.CLASSIC, Kind.GENERALIZED])
@@ -326,15 +325,15 @@ def test_kernels_equal_public_functions_and_old_formulas_bitwise(kind):
         g = helpers.random_graph(rng, n)
         spec = make_spec(rng, n)
         u = rng.normal(0.0, 0.7, n)
-        for hp in _deformations(spec):
-            fun, jac = _kernels(spec, g, hp)
-            if hp is None:
+        for t in _deformations(spec):
+            fun, jac = _kernels(spec, g, t)
+            if t is None:
                 public = (residual(spec, g, u), jacobian(spec, g, u))
             else:
-                public = (residual_homotopy(spec, g, u, hp), jacobian_homotopy(spec, g, u, hp))
+                public = (residual_homotopy(spec, g, u, t), jacobian_homotopy(spec, g, u, t))
             old = (
-                helpers.residual_formula_oracle(spec, g, u, hp),
-                helpers.jacobian_formula_oracle(spec, g, u, hp),
+                helpers.residual_formula_oracle(spec, g, u, t),
+                helpers.jacobian_formula_oracle(spec, g, u, t),
             )
             for got, pub, ref in zip((fun(u), jac(u)), public, old):
                 assert got.tobytes() == pub.tobytes() == ref.tobytes()
@@ -343,12 +342,12 @@ def test_kernels_equal_public_functions_and_old_formulas_bitwise(kind):
 def test_public_functions_still_validate():
     g = helpers.k2()
     spec = constant_spec(Kind.CLASSIC, 2, 1.0, -1.0)
-    hp = HomotopyParams(0.5)
+    t = 0.5
     public = [
         lambda s, u: residual(s, g, u),
         lambda s, u: jacobian(s, g, u),
-        lambda s, u: residual_homotopy(s, g, u, hp),
-        lambda s, u: jacobian_homotopy(s, g, u, hp),
+        lambda s, u: residual_homotopy(s, g, u, t),
+        lambda s, u: jacobian_homotopy(s, g, u, t),
     ]
     misaligned = constant_spec(Kind.CLASSIC, 3, 1.0, -1.0)
     for call in public:
@@ -369,7 +368,7 @@ def test_kernels_keep_the_exponent_guard():
     for call in (fun, jac):
         with np.errstate(over="ignore"):
             assert not np.isfinite(call(np.array([800.0, 0.0]))).all()
-    fun, jac = _kernels(constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0), g, HomotopyParams(0.5))
+    fun, jac = _kernels(constant_spec(Kind.GENERALIZED, 2, 1.0, 1.0), g, 0.5)
     for call in (fun, jac):
         with np.errstate(over="ignore"):
             assert not np.isfinite(call(np.array([0.0, -400.0]))).all()
@@ -389,15 +388,15 @@ def test_a_block_through_the_kernels_has_the_bits_of_its_fields(kind):
         spec = make_spec(rng, n)
         block = rng.normal(0.0, 0.7, (5, n))
         block[3, rng.integers(n)] = 1.01 * top / spec.A if trial % 2 else -1.01 * top / spec.B
-        for hp in _deformations(spec):
-            fun, jac = _kernels(spec, g, hp)
+        for t in _deformations(spec):
+            fun, jac = _kernels(spec, g, t)
             with np.errstate(over="ignore", invalid="ignore"):
                 values, mats = fun(block), jac(block)
             assert values.shape == (5, n) and mats.shape == (5, n, n)
-            if hp is None:
+            if t is None:
                 public = (lambda u: residual(spec, g, u), lambda u: jacobian(spec, g, u))
             else:
-                public = (lambda u: residual_homotopy(spec, g, u, hp), lambda u: jacobian_homotopy(spec, g, u, hp))
+                public = (lambda u: residual_homotopy(spec, g, u, t), lambda u: jacobian_homotopy(spec, g, u, t))
             for row, u in enumerate(block):
                 if row == 3:
                     assert not np.isfinite(values[row]).all() and not np.isfinite(mats[row]).all()
@@ -455,10 +454,9 @@ def test_a_classic_member_is_the_classic_equation_with_its_coefficients():
         spec = helpers.classic_spec(rng, n)
         u = rng.normal(0.0, 0.7, n)
         for t in (0.0, 0.3, 0.5, 1.0):
-            hp = HomotopyParams(t)
             member = ProblemSpec(Kind.CLASSIC, *_classic_member(spec, t), spec.A, spec.B)
-            assert residual(member, g, u).tobytes() == residual_homotopy(spec, g, u, hp).tobytes()
-            assert jacobian(member, g, u).tobytes() == jacobian_homotopy(spec, g, u, hp).tobytes()
+            assert residual(member, g, u).tobytes() == residual_homotopy(spec, g, u, t).tobytes()
+            assert jacobian(member, g, u).tobytes() == jacobian_homotopy(spec, g, u, t).tobytes()
         eps = default_epsilon(spec)
         assert np.array_equal(np.concatenate(_classic_member(spec, 1.0)), np.repeat([eps, -eps], n))
 
@@ -468,5 +466,5 @@ def test_infeasible_deformation_has_one_error():
     with pytest.raises(HomotopyInfeasibleError) as from_default:
         default_epsilon(spec)
     with pytest.raises(HomotopyInfeasibleError) as from_deformation:
-        residual_homotopy(spec, helpers.k2(), np.zeros(2), HomotopyParams(0.5))
+        residual_homotopy(spec, helpers.k2(), np.zeros(2), 0.5)
     assert str(from_default.value) == str(from_deformation.value)

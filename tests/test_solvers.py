@@ -754,17 +754,16 @@ def test_minimize_box_constant_instance_matches_scalar_oracle():
 
 def _minimize_recorded(spec, g, barriers):
     """``minimize_box``'s report, and each field whose energy it evaluated, in order, with that
-    energy (None where the exponent guard raised): ``_energy_kernel`` is wrapped both where the
-    minimizer binds it and where the public ``energy`` it calls at entry does."""
+    energy: ``_energy_kernel`` is wrapped both where the minimizer binds it and where the public
+    ``energy`` it calls at entry does."""
     original, evaluated = tzgraph.model._energy_kernel, []
 
     def recording(spec, g):
         energy_of = original(spec, g)
 
         def recorded(u):
-            evaluated.append((u.copy(), None))
             value = energy_of(u)
-            evaluated[-1] = (evaluated[-1][0], value)
+            evaluated.append((u.copy(), value))
             return value
 
         return recorded
@@ -837,7 +836,7 @@ def test_minimize_box_energies_are_the_public_energy_bitwise():
         spec = helpers.branch1_spec(rng, n)
         report, evaluated = _minimize_recorded(spec, g, choose_barriers(spec, g))
         assert len(report.energy_history) > (n > 1)
-        assert all(value is None or value == energy(spec, g, u) for u, value in evaluated)
+        assert all(value == energy(spec, g, u) for u, value in evaluated)
         # the history is the energies of the accepted fields, in the order they were evaluated
         remaining = iter(evaluated)
         accepted = [next((u for u, value in remaining if value == j), None) for j in report.energy_history]

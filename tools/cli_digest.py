@@ -9,15 +9,19 @@ family reaches; then ``check`` once more on each family at n = 1 and 2 for
 each of the ``--seed`` values in ``CHECK_SEEDS`` (every other command runs
 at the default seed 0); then all five commands under both kinds on the
 fixed files of ``EXTREMES``; then ``multiplicity`` on the mirror instances
-of ``MIRROR_STARTS``; last, all five commands under the classic kind on the
-fixed files of ``CLASSIC_PINS``; in-process and with BLAS pinned to one
-thread.  Each command's exit code, standard output, standard error and
-captured warnings go into the digest, in a fixed order.  Instance files
-are written to a temporary directory and named by relative paths, so two
-checkouts print the same digests exactly when their CLI answers agree
-byte for byte.  One line per command gives its own digest and argv, so a
-``diff`` of two checkouts' outputs names the commands whose answers
-moved; the last line is the digest over all of them::
+of ``MIRROR_STARTS``; then all five commands under the classic kind on the
+fixed files of ``CLASSIC_PINS``; then all five commands on the tiny-weight
+pairs of ``TINY_WEIGHTS`` and ``TINY_PAIRS``, each under its own kind; then
+each command with ``--format text`` on one ``branch1`` instance; last,
+``degree --radius 4`` on the classic pair whose h2 changes sign; in-process
+and with BLAS pinned to one thread.  Each command's exit code, standard
+output, standard error and captured warnings go into the digest, in a
+fixed order.  Instance files are written to a temporary directory and
+named by relative paths, so two checkouts print the same digests exactly
+when their CLI answers agree byte for byte.  One line per command gives
+its own digest and argv, so a ``diff`` of two checkouts' outputs names the
+commands whose answers moved; the last line is the digest over all of
+them::
 
     python3 tools/cli_digest.py --seeds 7 11
     python3 tools/cli_digest.py --seeds 7 11 --root ../parent-checkout
@@ -37,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -71,6 +76,10 @@ CLASSIC_PINS = (
     (2, "vertex a 1 1e6 -1e6\nvertex b 1 0.01 -1\nedge a b 1\n"),
     (1, "vertex o 1 1e-13 -1e-13\n"),
 )
+# edge weights so tiny that w0 * lambda1 leaves the normal floats, on a classic and a branch-1
+# generalized pair (A = B = 1); at 1e-310 the elliptic constant itself leaves the float range
+TINY_WEIGHTS = ("1e-160", "1e-200", "1e-310")
+TINY_PAIRS = (("classic", "-1", "-2"), ("generalized", "3", "2"))
 
 
 def boundary_instances() -> list:
@@ -126,7 +135,16 @@ def commands(seeds: list[int]) -> list:
     mirrors = [(seed, make_instance("mirror", n, seed, index)) for n, seed, index in MIRROR_STARTS]
     distinct += [(f"s{seed}-{inst.name}", Command("multiplicity", inst), ()) for seed, inst in mirrors]
     pins = [Instance("pinned", n, index, "classic", 1.0, 1.0, text) for index, (n, text) in enumerate(CLASSIC_PINS)]
-    return distinct + [(inst.name, Command(kind, inst), ()) for inst in pins for kind in KINDS]
+    tiny = [
+        Instance("tiny", 2, index, equation, 1.0, 1.0, f"vertex a 1 1 {a}\nvertex b 2 0.5 {b}\nedge a b {weight}\n")
+        for index, (weight, (equation, a, b)) in enumerate(itertools.product(TINY_WEIGHTS, TINY_PAIRS))
+    ]
+    distinct += [(inst.name, Command(kind, inst), ()) for inst in pins + tiny for kind in KINDS]
+    rendered = make_instance("branch1", 2, seeds[0])
+    distinct += [(f"s{seeds[0]}-{rendered.name}", Command(kind, rendered), ("--format", "text")) for kind in KINDS]
+    # the classic pair whose h2 changes sign has no a priori box, so only a given radius bounds its search
+    mixed = boundary_instances()[BOUNDARY_PAIR_H2.index(("-1", "1"))]
+    return distinct + [(mixed.name, Command("degree", mixed), ("--radius", "4"))]
 
 
 def run(argv: list[str]) -> list:
