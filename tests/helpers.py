@@ -1364,6 +1364,26 @@ def degree_single_vertex_oracle(spec: ProblemSpec) -> degree.DegreeReport:
     )
 
 
+def classic_homotopy_degrees_oracle(
+    spec: ProblemSpec, g: WeightedGraph, cfg: SolverConfig, n_starts: int
+) -> list[tuple]:
+    """``degree._homotopy_degrees`` on the classic kind before its members at t = 0.5 and 1 took
+    ``estimate_degree``'s Newton run from 0: every member at t = 0, 0.5 and 1 is counted by the
+    multi-start enumeration in its own box, or on one vertex by the scalar scan."""
+    eps = default_epsilon(spec)
+    pairs = []
+    for t in (0.0, 0.5, 1.0):
+        h1, h2 = t * eps + (1.0 - t) * spec.h1, -t * eps + (1.0 - t) * spec.h2
+        member = ProblemSpec(Kind.CLASSIC, h1, h2, spec.A, spec.B)
+        if g.n == 1:
+            signs = degree._scalar_roots(member, None)[1]
+        else:
+            radius = bounds_classic(member).radius
+            signs = degree._enumerate_signed_roots(member, g, None, radius, cfg, n_starts)[1]
+        pairs.append((t, int(sum(signs))))
+    return pairs
+
+
 def build_parser_oracle() -> _Parser:
     """The CLI parser as a tree: a top parser, a parent of shared flags, one subparser per command."""
     parser = _Parser(

@@ -1,6 +1,7 @@
 """File format, argument parsing, report rendering, exit codes, and robustness."""
 
 import argparse
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -17,7 +18,7 @@ import pytest
 
 import helpers
 import tzgraph
-from tzgraph import SolverConfig, cli, degree, estimate_degree, solvers
+from tzgraph import Kind, ProblemSpec, SolverConfig, cli, degree, estimate_degree, solvers
 from tzgraph.cli import (
     UsageError,
     build_parser,
@@ -740,25 +741,30 @@ def test_report_carries_timestamp_and_wall_time_unless_told_not_to(tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "equation,lines,enumerations,listed",
+    "equation,lines,enumerations,runs,listed",
     [
-        ("classic", K2_LINES, 3, "degrees 1, 1, 1 at t = 0, 0.5, 1"),
-        ("generalized", K2_GENERALIZED_LINES, 2, "degrees 0, 0, 0 at t = 1, 0.5, 0"),
+        ("classic", K2_LINES, 1, [1, 1], "degrees 1, 1, 1 at t = 0, 0.5, 1"),
+        ("generalized", K2_GENERALIZED_LINES, 2, [], "degrees 0, 0, 0 at t = 1, 0.5, 0"),
     ],
 )
-def test_check_enumerates_each_deformation_member_once(
-    tmp_path, capsys, monkeypatch, equation, lines, enumerations, listed
+def test_check_enumerates_the_undeformed_member_and_runs_newton_once_on_classic_deformed_ones(
+    tmp_path, capsys, monkeypatch, equation, lines, enumerations, runs, listed
 ):
-    # classic: t = 0, 0.5, 1, where t = 0 gives degree_value; generalized:
-    # t = 1 (which gives degree_value) and 0.5, with t = 0 known to be 0; the
-    # homotopy_invariance detail lists the degrees in that order
-    enumerate_roots, calls = degree._enumerate_signed_roots, []
+    # classic: t = 0, which gives degree_value, is enumerated; t = 0.5 and 1 take estimate_degree's
+    # one Newton run from 0; generalized: t = 1 (which gives degree_value) and 0.5 are enumerated,
+    # with t = 0 known to be 0; the homotopy_invariance detail lists the degrees in that order
+    enumerate_roots, estimate, calls, reports = degree._enumerate_signed_roots, degree.estimate_degree, [], []
 
     def counted(*args):
         calls.append(args)
         return enumerate_roots(*args)
 
+    def estimated(*args):
+        reports.append(estimate(*args))
+        return reports[-1]
+
     monkeypatch.setattr(degree, "_enumerate_signed_roots", counted)
+    monkeypatch.setattr(degree, "estimate_degree", estimated)
     path = write(tmp_path, lines)
     code, out, _ = run(
         capsys,
@@ -767,7 +773,42 @@ def test_check_enumerates_each_deformation_member_once(
     result = json.loads(out)["result"]
     assert code == 0 and result["all_passed"] is True
     assert len(calls) == enumerations
+    assert [r.starts_used for r in reports] == runs
     assert result["checks"][-1] == {"name": "homotopy_invariance", "passed": True, "detail": listed}
+
+
+def test_classic_check_screens_only_the_undeformed_member(tmp_path, capsys, monkeypatch):
+    # the enumerations of all three members, as check made them before, screen 6 blocks
+    rng = np.random.default_rng(409)
+    data, spec = helpers.random_graph_data(rng, 4), helpers.classic_spec(rng, 4)
+    vertices = list(zip(data["ids"], data["mu"], spec.h1.tolist(), spec.h2.tolist()))
+    path = write(tmp_path, helpers.graph_text(vertices, data["edges"]))
+    calls, newton_block, kernels = collections.Counter(), degree._newton_block, degree._kernels
+
+    def screen(*args):
+        calls["screens"] += 1
+        return newton_block(*args)
+
+    def counted_kernels(*args):
+        fun, jac = kernels(*args)
+
+        def jac_counted(u):  # a Jacobian on a block is one lockstep iteration
+            calls["lockstep iterations"] += u.ndim == 2
+            return jac(u)
+
+        return fun, jac_counted
+
+    monkeypatch.setattr(degree, "_newton_block", screen)
+    monkeypatch.setattr(degree, "_kernels", counted_kernels)
+    argv = ["check", path, "--equation", "classic", "--A", repr(spec.A), "--B", repr(spec.B), "--starts", "48"]
+    code, out, _ = run(capsys, argv + ["--no-timestamp"])
+    assert code == 0 and json.loads(out)["result"]["all_passed"] is True
+    check = calls.copy()
+    calls.clear()
+    g, h1, h2 = parse_graph(path).to_graph()
+    helpers.classic_homotopy_degrees_oracle(ProblemSpec(Kind.CLASSIC, h1, h2, spec.A, spec.B), g, SolverConfig(), 32)
+    assert check["screens"] == 2 and calls["screens"] == 6
+    assert 0 < check["lockstep iterations"] < calls["lockstep iterations"]
 
 
 def test_report_values_rederive_via_api(tmp_path, capsys):

@@ -518,6 +518,46 @@ def test_homotopy_invariance_single_vertex_matches_proven():
     assert estimate_degree(spec, g1, CFG, n_starts=16).degree == degree_single_vertex(spec).degree
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_classic_homotopy_degrees_match_the_three_enumeration_oracle(n):
+    # the members at t = 0.5 and 1 take estimate_degree's Newton run from 0, the oracle enumerates them
+    for seed in (383, 389, 397, 401):
+        rng = np.random.default_rng(seed + n)
+        g = helpers.random_graph(rng, n)
+        spec = helpers.classic_spec(rng, n)
+        # h1 and h2 spread over four decades each
+        h1, h2 = spec.h1 * 10.0 ** rng.uniform(-2.0, 2.0, n), spec.h2 * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        spec = ProblemSpec(Kind.CLASSIC, h1, h2, spec.A, spec.B)
+        expected = helpers.classic_homotopy_degrees_oracle(spec, g, CFG, 32)
+        assert degree._homotopy_degrees(spec, g, CFG, 32) == expected
+        assert verify_homotopy_invariance(spec, g, CFG, 32) == (len({d for _, d in expected}) == 1)
+
+
+def test_a_classic_member_whose_run_fails_is_enumerated(monkeypatch):
+    # h1 = 1e300 at A = 500: the run from 0 fails at t = 0.5, whose enumeration finds no zero
+    # either; at t = 1 it converges, so t = 0 and 0.5 are enumerated and t = 1 takes one run
+    g = helpers.build_graph({"ids": ["a", "b"], "mu": [1.0, 2.0], "edges": [("a", "b", 1.0)]})
+    spec = ProblemSpec(Kind.CLASSIC, np.array([1e300, 1e300]), np.array([-1.0, -2.0]), 500.0, 1.0)
+    expected = helpers.classic_homotopy_degrees_oracle(spec, g, CFG, 32)
+    enumerate_roots, estimate, enumerations, reports = degree._enumerate_signed_roots, degree.estimate_degree, [], []
+
+    def enumerated(*args):
+        enumerations.append(args)
+        return enumerate_roots(*args)
+
+    def estimated(*args):
+        reports.append(estimate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(degree, "_enumerate_signed_roots", enumerated)
+    monkeypatch.setattr(degree, "estimate_degree", estimated)
+    assert degree._homotopy_degrees(spec, g, CFG, 32) == expected == [(0.0, 0), (0.5, 0), (1.0, 1)]
+    assert len(enumerations) == 2 and [r.starts_used for r in reports] == [32, 1]
+    # the failed member's count is its enumeration's, not its proven degree
+    assert [(r.enumerated_degree, r.degree) for r in reports] == [(0, 1), (1, 1)]
+    assert not verify_homotopy_invariance(spec, g, CFG, 32)
+
+
 def test_one_vertex_homotopy_degrees_scan_the_members_without_newton(monkeypatch):
     def no_newton(*args, **kwargs):
         raise AssertionError("a one-vertex audit ran Newton")
